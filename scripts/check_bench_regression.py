@@ -463,7 +463,7 @@ def self_test(threshold):
     """Hermetic check that the gate accepts clean runs and rejects a 2x
     slowdown and a counter growth. Exercised by ctest so the gate itself
     cannot silently rot."""
-    import tempfile, os
+    import contextlib, io, tempfile, os
 
     def write(doc):
         fd, path = tempfile.mkstemp(suffix=".json")
@@ -528,6 +528,15 @@ def self_test(threshold):
     if run_gate([exec_ok], [exec_drift], threshold, DEFAULT_HARD_COUNTERS,
                 True, quiet) != 1:
         failures.append("vm_cost_mismatches above ceiling accepted")
+
+    # A baseline missing from the tree (an artifact never committed) is a
+    # usage error, exit 2, not a silent pass.
+    absent = os.path.join(tempfile.mkdtemp(), "BENCH_absent.json")
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = main(["--baseline", absent, "--fresh", exec_ok])
+    if status != 2:
+        failures.append("missing baseline not reported as usage error")
+    os.rmdir(os.path.dirname(absent))
 
     # History trend mode: three snapshots with ordinary noise, then a clean
     # fresh run must pass the median gate, a 2x run must fail it, and a

@@ -38,7 +38,6 @@ void write_budget(const verify::Budget& b, obs::JsonWriter& w) {
   w.key("max_exact_nodes").value(b.max_exact_nodes);
   w.key("max_states").value(b.max_states);
   w.key("samples").value(b.samples);
-  w.key("strata").value(b.strata);
   w.key("max_steps").value(b.max_steps);
   w.key("sample_seed").value(b.sample_seed);
   w.key("split_assignments").value(b.split_assignments);
@@ -52,7 +51,6 @@ verify::Budget parse_budget(const obs::JsonValue& v) {
   b.max_states =
       static_cast<std::size_t>(v.get_or("max_states").as_u64(b.max_states));
   b.samples = static_cast<std::size_t>(v.get_or("samples").as_u64(b.samples));
-  b.strata = static_cast<std::size_t>(v.get_or("strata").as_u64(b.strata));
   b.max_steps =
       static_cast<std::size_t>(v.get_or("max_steps").as_u64(b.max_steps));
   b.sample_seed = v.get_or("sample_seed").as_u64(b.sample_seed);

@@ -3,18 +3,15 @@
 #include <unordered_map>
 
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 
 namespace parcm {
 
 std::size_t SeededOracle::choose(NodeId branch, std::size_t visit,
                                  std::size_t num_choices) {
-  // splitmix64-style mix of (seed, node, visit).
-  std::uint64_t x = seed_ ^ (static_cast<std::uint64_t>(branch.value()) << 32) ^
-                    static_cast<std::uint64_t>(visit);
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x = x ^ (x >> 31);
+  std::uint64_t x = mix64(seed_ ^
+                          (static_cast<std::uint64_t>(branch.value()) << 32) ^
+                          static_cast<std::uint64_t>(visit));
   return static_cast<std::size_t>(x % num_choices);
 }
 

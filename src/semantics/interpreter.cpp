@@ -99,30 +99,16 @@ void append_thread_transitions(const Graph& g, const Config& c, RegionId r,
   }
 }
 
-namespace {
-
-std::vector<Transition> transitions_impl(const Graph& g, const Config& c,
-                                         const VarState* s) {
+std::vector<Transition> enabled_transitions(const Graph& g, const Config& c) {
   std::vector<Transition> out;
   for (std::size_t i = 0; i < g.num_regions(); ++i) {
     RegionId r(static_cast<RegionId::underlying>(i));
-    if (c.active(r)) append_thread_transitions(g, c, r, s, &out);
+    if (c.active(r)) append_thread_transitions(g, c, r, nullptr, &out);
   }
   for (Transition& t : barrier_release_transitions(g, c)) {
     out.push_back(t);
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<Transition> enabled_transitions(const Graph& g, const Config& c) {
-  return transitions_impl(g, c, nullptr);
-}
-
-std::vector<Transition> enabled_transitions(const Graph& g, const Config& c,
-                                            const VarState& s) {
-  return transitions_impl(g, c, &s);
 }
 
 Config apply_transition(const Graph& g, const Config& c, const Transition& t) {
@@ -174,48 +160,6 @@ Config apply_transition(const Graph& g, const Config& c, const Transition& t) {
   }
   out.set_pc(t.region, target);
   return out;
-}
-
-std::optional<VarState> run_random_schedule(const Graph& g, Rng& rng,
-                                            std::size_t max_steps,
-                                            Schedule* record) {
-  Config c = Config::initial(g);
-  VarState s(g.num_vars());
-  for (std::size_t step = 0; step < max_steps; ++step) {
-    if (c.terminal()) return s;
-    std::vector<Transition> ts = enabled_transitions(g, c, s);
-    PARCM_CHECK(!ts.empty(), "deadlocked configuration");
-    const Transition& t = ts[rng.below(ts.size())];
-    if (record != nullptr) record->push_back(t);
-    if (!t.barrier_stmt.valid()) execute_node(g, t.node, s);
-    c = apply_transition(g, c, t);
-  }
-  return std::nullopt;
-}
-
-std::optional<VarState> replay_schedule(const Graph& g,
-                                        const Schedule& schedule) {
-  Config c = Config::initial(g);
-  VarState s(g.num_vars());
-  for (const Transition& t : schedule) {
-    PARCM_CHECK(!c.terminal(), "schedule continues past termination");
-    if (t.barrier_stmt.valid()) {
-      c = apply_transition(g, c, t);
-      continue;
-    }
-    PARCM_CHECK(c.active(t.region) && c.pc(t.region) == t.node &&
-                    thread_runnable(g, c, t.region),
-                "schedule step not enabled (graph/schedule mismatch)");
-    if (g.node(t.node).kind == NodeKind::kTest) {
-      bool taken = eval_test(g, t.node, s);
-      PARCM_CHECK(t.edge == g.node(t.node).out_edges[taken ? 0 : 1],
-                  "schedule disagrees with test outcome");
-    }
-    execute_node(g, t.node, s);
-    c = apply_transition(g, c, t);
-  }
-  if (!c.terminal()) return std::nullopt;
-  return s;
 }
 
 }  // namespace parcm

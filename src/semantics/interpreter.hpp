@@ -15,13 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "ir/graph.hpp"
 #include "semantics/state.hpp"
-#include "support/rng.hpp"
 
 namespace parcm {
 
@@ -81,30 +78,7 @@ void append_thread_transitions(const Graph& g, const Config& c, RegionId r,
 // Data-free enabled transitions (test nodes contribute both branches).
 std::vector<Transition> enabled_transitions(const Graph& g, const Config& c);
 
-// Restriction of enabled_transitions to the data state: test nodes only
-// offer the edge their condition selects.
-std::vector<Transition> enabled_transitions(const Graph& g, const Config& c,
-                                            const VarState& s);
-
 // Applies t (which must be enabled in c) without touching data.
 Config apply_transition(const Graph& g, const Config& c, const Transition& t);
-
-// A recorded execution: the exact transition sequence taken, replayable on
-// the same graph for deterministic debugging of interleaving-dependent
-// outcomes.
-using Schedule = std::vector<Transition>;
-
-// One random maximal execution. Returns the final state, or nullopt if
-// max_steps was exhausted (e.g. a nondeterministic loop kept spinning).
-// When `record` is non-null, the transition sequence is appended to it.
-std::optional<VarState> run_random_schedule(const Graph& g, Rng& rng,
-                                            std::size_t max_steps = 100000,
-                                            Schedule* record = nullptr);
-
-// Replays a recorded schedule step by step; throws InternalError if a step
-// is not enabled (wrong graph or corrupted schedule). Returns the final
-// state; nullopt if the schedule ends before the program terminates.
-std::optional<VarState> replay_schedule(const Graph& g,
-                                        const Schedule& schedule);
 
 }  // namespace parcm

@@ -5,20 +5,13 @@
 
 namespace parcm {
 
-namespace {
-// splitmix64: seeds the xoshiro state from a single 64-bit value.
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
+  // splitmix64 stream: state word i is mix64(seed + i * 0x9E3779B97F4A7C15).
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) {
+    s = mix64(x);
+    x += 0x9E3779B97F4A7C15ull;
+  }
   // All-zero state would be a fixed point; splitmix64 cannot produce four
   // zeros from any seed, but keep the guard cheap and explicit.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;

@@ -7,6 +7,16 @@
 
 namespace parcm {
 
+// splitmix64 finalizer: a bijective 64-bit mix. Derives decorrelated
+// stream seeds from one user-visible seed (mix64(seed ^ mix64(stream)))
+// and seeds Rng itself.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);

@@ -19,18 +19,12 @@
 #include "obs/metrics.hpp"
 #include "obs/remarks.hpp"
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 #include "verify/reduce.hpp"
 
 namespace parcm::verify {
 
 namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15uLL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9uLL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBuLL;
-  return x ^ (x >> 31);
-}
 
 CodeMotionConfig injected_config(const InjectOptions& inject) {
   CodeMotionConfig c;
@@ -176,7 +170,7 @@ RandomProgramOptions default_fuzz_gen() {
 
 std::uint64_t fuzz_program_seed(std::uint64_t campaign_seed,
                                 std::size_t index) {
-  return mix(campaign_seed) ^ mix(static_cast<std::uint64_t>(index) + 1);
+  return mix64(campaign_seed) ^ mix64(static_cast<std::uint64_t>(index) + 1);
 }
 
 lang::Program fuzz_program(std::uint64_t campaign_seed, std::size_t index,

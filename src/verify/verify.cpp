@@ -1,133 +1,97 @@
 #include "verify/verify.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
-#include "obs/metrics.hpp"
-#include "semantics/equivalence.hpp"
 #include "motion/pcm.hpp"
+#include "obs/metrics.hpp"
 #include "obs/remarks.hpp"
-#include "semantics/interpreter.hpp"
+#include "semantics/equivalence.hpp"
 #include "support/rng.hpp"
+#include "vm/bytecode.hpp"
+#include "vm/executor.hpp"
 
 namespace parcm::verify {
 
-namespace {
-
-// splitmix64 finalizer: decorrelates the per-stratum / per-side RNG streams
-// derived from one user-visible seed.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15uLL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9uLL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBuLL;
-  return x ^ (x >> 31);
-}
-
-struct SampleStats {
-  std::set<std::vector<std::int64_t>> finals;
-  std::size_t completed = 0;
-  std::size_t aborted = 0;  // step cap hit before termination
-};
-
-// One maximal execution under the stratum's scheduling bias. Stratum 0 (and
-// every stratum past 2) schedules uniformly on its own stream; stratum 1
-// prefers the lowest-index runnable region (near-sequential, left-first
-// order), stratum 2 the highest (join-adversarial order). The biased strata
-// keep a 1-in-4 uniform escape so repeated samples still diversify.
-std::optional<VarState> run_stratum_schedule(const Graph& g, Rng& rng,
-                                             std::size_t stratum,
-                                             std::size_t max_steps,
-                                             bool split) {
-  Config c = Config::initial(g);
-  VarState s(g.num_vars());
-  // Split semantics (Remark 2.1): an assignment is two schedulable steps —
-  // evaluate the rhs into a thread-private slot, then store. A region whose
-  // pending slot is full is mid-assignment; picking it again completes the
-  // store, picking another region interleaves between read and write.
-  std::vector<std::optional<std::int64_t>> pending(g.num_regions());
-  for (std::size_t step = 0; step < max_steps; ++step) {
-    if (c.terminal()) return s;
-    std::vector<Transition> ts = enabled_transitions(g, c, s);
-    if (ts.empty()) return std::nullopt;  // deadlock: malformed input
-    std::size_t pick = 0;
-    if (ts.size() == 1) {
-      pick = 0;
-    } else if (stratum == 1 || stratum == 2) {
-      if (rng.chance(1, 4)) {
-        pick = rng.below(ts.size());
-      } else {
-        pick = 0;
-        for (std::size_t i = 1; i < ts.size(); ++i) {
-          bool better = stratum == 1
-                            ? ts[i].region.index() < ts[pick].region.index()
-                            : ts[i].region.index() > ts[pick].region.index();
-          if (better) pick = i;
-        }
-      }
-    } else {
-      pick = rng.below(ts.size());
+SampledFinals sample_finals(const Graph& g,
+                            const std::vector<std::string>& observed,
+                            bool split_assignments, std::size_t schedules,
+                            std::size_t max_steps, std::uint64_t seed,
+                            std::uint64_t stream) {
+  SampledFinals out;
+  vm::LowerOptions lower;
+  lower.split_assignments = split_assignments;
+  vm::VmProgram program = vm::lower_to_bytecode(g, lower);
+  vm::SeededRunner runner(program);
+  std::vector<std::optional<VarId>> proj;
+  proj.reserve(observed.size());
+  for (const std::string& name : observed) proj.push_back(g.find_var(name));
+  vm::ExecLimits limits;
+  limits.max_steps = max_steps;
+  PARCM_OBS_COUNT("verify.sample_schedules", schedules);
+  for (std::size_t i = 0; i < schedules; ++i) {
+    limits.schedule_bias = i % 3 == 0 ? 0 : (i % 3 == 1 ? -1 : 1);
+    vm::ExecResult r = runner.run(mix64(seed ^ mix64(stream) ^ i), limits);
+    if (!r.ok) continue;  // step budget: a spinning nondeterministic loop
+    ++out.completed;
+    FinalRow row;
+    row.reserve(proj.size());
+    for (const std::optional<VarId>& v : proj) {
+      row.push_back(v.has_value() ? r.store[v->index()] : 0);
     }
-    const Transition& t = ts[pick];
-    if (t.barrier_stmt.valid()) {
-      c = apply_transition(g, c, t);
-      continue;
-    }
-    const Node& node = g.node(t.node);
-    if (split && node.kind == NodeKind::kAssign) {
-      std::optional<std::int64_t>& slot = pending[t.region.index()];
-      if (!slot.has_value()) {
-        slot = eval_rhs(s, node.rhs);
-        continue;  // rhs read done; control stays, the write is a new step
-      }
-      s.set(node.lhs, *slot);
-      slot.reset();
-      c = apply_transition(g, c, t);
-      continue;
-    }
-    execute_node(g, t.node, s);
-    c = apply_transition(g, c, t);
-  }
-  return std::nullopt;
-}
-
-SampleStats sample_finals(const Graph& g,
-                          const std::vector<std::optional<VarId>>& projection,
-                          const Budget& budget, std::uint64_t side_salt) {
-  SampleStats out;
-  std::size_t strata = std::max<std::size_t>(1, budget.strata);
-  std::size_t per = std::max<std::size_t>(1, budget.samples / strata);
-  for (std::size_t stratum = 0; stratum < strata; ++stratum) {
-    Rng rng(mix(budget.sample_seed ^ mix(side_salt) ^ mix(stratum)));
-    for (std::size_t i = 0; i < per; ++i) {
-      PARCM_OBS_COUNT("verify.sample_schedules", 1);
-      std::optional<VarState> fin = run_stratum_schedule(
-          g, rng, stratum, budget.max_steps, budget.split_assignments);
-      if (!fin.has_value()) {
-        ++out.aborted;
-        continue;
-      }
-      ++out.completed;
-      std::vector<std::int64_t> row;
-      row.reserve(projection.size());
-      for (const std::optional<VarId>& v : projection) {
-        row.push_back(v.has_value() ? fin->get(*v) : 0);
-      }
-      out.finals.insert(std::move(row));
-    }
+    out.finals.insert(std::move(row));
   }
   return out;
 }
 
-std::vector<std::optional<VarId>> project_vars(
-    const Graph& g, const std::vector<std::string>& observed) {
-  std::vector<std::optional<VarId>> ids;
-  ids.reserve(observed.size());
-  for (const std::string& name : observed) ids.push_back(g.find_var(name));
-  return ids;
+void decide_sampled(Verdict* v, const SampledFinals& transformed,
+                    std::set<FinalRow> reference, bool complete,
+                    const std::function<bool(std::set<FinalRow>*)>& deepen,
+                    const Graph& before,
+                    const std::vector<obs::Remark>* remarks,
+                    [[maybe_unused]] const std::string& counter_prefix) {
+  if (transformed.completed == 0 || reference.empty()) {
+    v->status = Status::kInconclusive;
+    PARCM_OBS_COUNT(counter_prefix + "inconclusive", 1);
+    return;
+  }
+  auto first_missing = [&]() -> const FinalRow* {
+    for (const FinalRow& row : transformed.finals) {
+      if (!reference.contains(row)) return &row;
+    }
+    return nullptr;
+  };
+  const FinalRow* bad = first_missing();
+  if (bad != nullptr && !complete) {
+    complete = deepen(&reference);
+    bad = first_missing();
+  }
+  v->original_behaviours = reference.size();
+  v->transformed_behaviours = transformed.finals.size();
+  if (bad != nullptr) {
+    v->witness = *bad;
+    if (!complete) {
+      // Indistinguishable from a missed rare original behaviour; keep the
+      // candidate as a diagnostic witness but claim nothing.
+      v->status = Status::kInconclusive;
+      PARCM_OBS_COUNT(counter_prefix + "inconclusive", 1);
+      return;
+    }
+    // The reference is the complete original behaviour set and the row came
+    // from a genuine transformed execution: a real divergence, even though
+    // the verdict is labelled sampled (the transformed side was not
+    // exhausted).
+    v->status = Status::kDiverged;
+    PARCM_OBS_COUNT(counter_prefix + "diverged", 1);
+    classify_divergence(v, before, remarks);
+    return;
+  }
+  v->status = std::includes(transformed.finals.begin(),
+                            transformed.finals.end(), reference.begin(),
+                            reference.end())
+                  ? Status::kEquivalent
+                  : Status::kConsistent;
 }
-
-}  // namespace
 
 void classify_divergence(Verdict* v, const Graph& before,
                          const std::vector<obs::Remark>* remarks) {
@@ -248,81 +212,37 @@ Verdict differential_check(const Graph& before, const Graph& after,
   // the reference may be incomplete, hence exact=false on every verdict
   // from this path.
   PARCM_OBS_COUNT("verify.sampled", 1);
-  std::vector<std::optional<VarId>> before_proj =
-      project_vars(before, v.observed);
-  std::vector<std::optional<VarId>> after_proj =
-      project_vars(after, v.observed);
-
   EnumerationOptions partial;
   partial.max_states = budget.max_states;
   partial.atomic_assignments = !budget.split_assignments;
   partial.partial_order_reduction = true;
   EnumerationResult ref = enumerate_executions(before, v.observed, partial);
 
-  SampleStats orig = sample_finals(before, before_proj, budget, 1);
-  SampleStats trans = sample_finals(after, after_proj, budget, 2);
-  if (trans.completed == 0 || (orig.completed == 0 && ref.finals.empty())) {
-    v.status = Status::kInconclusive;
-    PARCM_OBS_COUNT("verify.inconclusive", 1);
-    return v;
-  }
-
-  std::set<std::vector<std::int64_t>> reference = ref.finals;
-  reference.insert(orig.finals.begin(), orig.finals.end());
-
-  auto first_missing = [&]() -> const std::vector<std::int64_t>* {
-    for (const std::vector<std::int64_t>& row : trans.finals) {
-      if (!reference.contains(row)) return &row;
-    }
-    return nullptr;
+  auto sample = [&](const Graph& g, std::uint64_t stream) {
+    return sample_finals(g, v.observed, budget.split_assignments,
+                         budget.samples, budget.max_steps, budget.sample_seed,
+                         stream);
   };
-  const std::vector<std::int64_t>* bad = first_missing();
-  bool reference_complete = ref.exhausted;
-  if (bad != nullptr && !reference_complete) {
-    // The reference enumeration was truncated, so a "transformed-only" row
-    // is more often a missed original behaviour than a miscompile (the
-    // transformation stretches rare interleaving windows, biasing the
-    // transformed sampler toward states the original sampler almost never
-    // hits). Deepen the one-sided enumeration before alarming: it is far
-    // cheaper than the two-sided consistency product, and every state it
-    // visits is exact reachability evidence.
+  SampledFinals orig = sample(before, 1);
+  SampledFinals trans = sample(after, 2);
+  std::set<FinalRow> reference = std::move(ref.finals);
+  reference.insert(orig.finals.begin(), orig.finals.end());
+  // The reference enumeration was truncated, so a "transformed-only" row is
+  // more often a missed original behaviour than a miscompile (the
+  // transformation stretches rare interleaving windows, biasing the
+  // transformed sampler toward states the original sampler almost never
+  // hits). Deepen the one-sided enumeration before alarming: it is far
+  // cheaper than the two-sided consistency product, and every state it
+  // visits is exact reachability evidence.
+  auto deepen = [&](std::set<FinalRow>* more) {
     PARCM_OBS_COUNT("verify.deep_probes", 1);
     partial.max_states = budget.max_states * 8;
     EnumerationResult deep = enumerate_executions(before, v.observed, partial);
-    reference_complete = deep.exhausted;
-    reference.insert(deep.finals.begin(), deep.finals.end());
-    bad = first_missing();
-  }
-  v.original_behaviours = reference.size();
-  v.transformed_behaviours = trans.finals.size();
-
-  if (bad != nullptr) {
-    if (!reference_complete) {
-      // The original's behaviour set could not be enumerated to completion
-      // (typically a value-divergent nondeterministic loop, where it is
-      // infinite) and the sampled row was not found in the part we saw.
-      // That distinguishes nothing: a missed rare original behaviour and a
-      // real miscompile look identical from here, so the only honest
-      // verdict is inconclusive. The witness is kept for diagnostics.
-      v.status = Status::kInconclusive;
-      v.witness = *bad;
-      PARCM_OBS_COUNT("verify.inconclusive", 1);
-      return v;
-    }
-    // The reference is the complete original behaviour set and the row came
-    // from a genuine transformed execution, so this is a real divergence
-    // even though the verdict is labelled sampled (the *transformed* side
-    // was not exhausted).
-    v.status = Status::kDiverged;
-    v.witness = *bad;
-    PARCM_OBS_COUNT("verify.diverged", 1);
-    classify_divergence(&v, before, remarks);
-    return v;
-  }
-  v.status = std::includes(trans.finals.begin(), trans.finals.end(),
-                           reference.begin(), reference.end())
-                 ? Status::kEquivalent
-                 : Status::kConsistent;
+    more->insert(deep.finals.begin(), deep.finals.end());
+    return deep.exhausted;
+  };
+  decide_sampled(&v, trans, std::move(reference), ref.exhausted, deepen,
+                 before, remarks, "verify.");
   return v;
 }
 

@@ -7,13 +7,16 @@
 // recursive assignments, P3 up-/down-safety) are exactly the ways naive
 // code motion silently breaks that. differential_check is the standing
 // oracle: exact behaviour-set comparison via the POR-pruned enumerator for
-// small programs, stratified-sampled interleavings on fixed RNG streams
-// above the size budget, and divergence classification against P1/P2/P3
-// through the optimization-remark provenance of the transforming pass.
+// small programs, stratified seeded VM schedules (vm::DetMachine, the
+// sampler both oracles share) above the size budget, and divergence
+// classification against P1/P2/P3 through the optimization-remark
+// provenance of the transforming pass.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,12 +31,11 @@ struct Budget {
   std::size_t max_exact_nodes = 72;
   // State cap for the exact enumerator; hitting it also demotes to sampling.
   std::size_t max_states = 1u << 19;
-  // Sampled mode: total schedules per side, spread over scheduler strata
-  // (uniform, left-biased, right-biased, extra uniform streams) so
+  // Sampled mode: total schedules per side, rotated over the scheduler
+  // strata of sample_finals (uniform, left-biased, right-biased) so
   // near-sequential and adversarial interleavings are all represented.
   std::size_t samples = 192;
-  std::size_t strata = 4;
-  // Step cap per sampled schedule (nondeterministic loops may spin).
+  // Instruction cap per sampled schedule (nondeterministic loops may spin).
   std::size_t max_steps = 20000;
   // Base of the fixed RNG streams: same seed, same schedules, same verdict.
   std::uint64_t sample_seed = 0x5EEDC0DEuLL;
@@ -111,5 +113,40 @@ std::vector<std::string> pitfalls_from_remarks(
 // its blocking reasons. Best-effort; shared by the exact and the VM oracle.
 void classify_divergence(Verdict* v, const Graph& before,
                          const std::vector<obs::Remark>* remarks);
+
+// --- The sampler and verdict tail shared by both differential oracles ---
+
+using FinalRow = std::vector<std::int64_t>;
+
+struct SampledFinals {
+  std::set<FinalRow> finals;  // distinct final stores, ordered as `observed`
+  std::size_t completed = 0;  // schedules that terminated within max_steps
+};
+
+// `schedules` seeded vm::DetMachine runs of g (split or atomic lowering),
+// rotating over three strata: uniform, lowest-region-first and
+// highest-region-first. Schedule i runs on seed
+// mix64(seed ^ mix64(stream) ^ i), so distinct `stream` tags give the two
+// sides of a check independent schedules. Every completed run is a genuine
+// behaviour of g under the chosen assignment semantics.
+SampledFinals sample_finals(const Graph& g,
+                            const std::vector<std::string>& observed,
+                            bool split_assignments, std::size_t schedules,
+                            std::size_t max_steps, std::uint64_t seed,
+                            std::uint64_t stream);
+
+// Fills v's status, witness and behaviour counts from the transformed side's
+// samples and a reference of genuine original behaviours (`complete` when it
+// is the whole original behaviour set). When a transformed final is missing
+// from an incomplete reference, `deepen` grows the reference once and
+// returns whether it is complete now. A final still missing is a sound
+// kDiverged against a complete reference and kInconclusive otherwise.
+// Counters are named counter_prefix + "inconclusive" / "diverged".
+void decide_sampled(Verdict* v, const SampledFinals& transformed,
+                    std::set<FinalRow> reference, bool complete,
+                    const std::function<bool(std::set<FinalRow>*)>& deepen,
+                    const Graph& before,
+                    const std::vector<obs::Remark>* remarks,
+                    const std::string& counter_prefix);
 
 }  // namespace parcm::verify

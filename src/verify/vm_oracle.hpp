@@ -1,15 +1,16 @@
-// Second differential oracle: seeded VM schedules instead of enumerated or
-// interpreter-sampled interleavings.
+// Second differential oracle: seeded VM schedules instead of enumerated
+// interleavings.
 //
 // The VM runs the split-assignment lowering under a pinned per-schedule
 // xoshiro stream, so every run is a genuine Remark 2.1 behaviour of the
 // program; N schedules per side cost O(N * program length) — independent of
-// the interleaving count that drives the exact checker's bill. The verdict
-// logic mirrors differential_check's sampled path: a transformed-only final
-// store is alarmed only after a one-sided POR enumeration of the original
-// completes without producing it (sound kDiverged), and stays
-// kInconclusive otherwise. Divergences are classified with the same P1–P3
-// remark provenance (classify_divergence).
+// the interleaving count that drives the exact checker's bill. Schedules
+// come from sample_finals and the verdict from decide_sampled, the sampler
+// and verdict tail differential_check's sampled path uses too: a
+// transformed-only final store is alarmed only after a one-sided POR
+// enumeration of the original completes without producing it (sound
+// kDiverged), and stays kInconclusive otherwise. Divergences are classified
+// with the same P1–P3 remark provenance (classify_divergence).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,7 @@ namespace parcm::verify {
 struct VmBudget {
   // Seeded schedules per side.
   std::size_t schedules = 64;
-  // Instruction cap per schedule (the split lowering spends ~2 instructions
-  // per assignment, so this is roomier than Budget::max_steps).
+  // Instruction cap per schedule.
   std::size_t max_steps = 40000;
   // Base of the schedule streams; same seed, same schedules, same verdict.
   std::uint64_t seed = 0x5EEDC0DEuLL;

@@ -3,9 +3,9 @@
 // The VM closes the loop on the paper's *executional* claims: instead of
 // scoring transformed programs analytically (semantics/cost.hpp) or
 // enumerating their interleavings (semantics/enumerator.hpp), it lowers the
-// graph to a flat instruction array and actually runs it — on one thread
-// under a seeded scheduler (the differential oracle's mode) or on real
-// threads through the work-stealing deques (the wall-clock bench's mode).
+// graph to a flat instruction array and actually runs it on one thread,
+// either under a seeded scheduler (the mode both differential oracles
+// sample interleavings in) or under a branch oracle (the cost mode).
 //
 // The lowering is intentionally shallow: one to two instructions per node,
 // region structure preserved as-is. Each region becomes one resumable task
@@ -75,9 +75,10 @@ struct VmParStmt {
 };
 
 struct LowerOptions {
-  // Remark 2.1 split model (the oracle's semantics of record). false lowers
+  // Remark 2.1 split model (the oracles' semantics of record). false lowers
   // every assignment to a single kAssign step — the mode the cost harness
-  // uses, where only path shape matters.
+  // uses, where only path shape matters, and the one an oracle checking a
+  // transformation that keeps assignments whole samples in.
   bool split_assignments = true;
 };
 

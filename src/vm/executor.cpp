@@ -1,13 +1,8 @@
 #include "vm/executor.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <algorithm>
 #include <unordered_map>
 
-#include "driver/work_queue.hpp"
 #include "obs/metrics.hpp"
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
@@ -16,21 +11,11 @@ namespace parcm::vm {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15uLL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9uLL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBuLL;
-  return x ^ (x >> 31);
-}
-
 // Mirrors semantics/state.cpp exactly: wrapping arithmetic, division by
-// zero yields 0, INT64_MIN / -1 wraps, comparisons yield 1/0. Load is
-// how a variable is read (plain vector in the deterministic machine,
-// seq_cst atomic in the parallel one).
-template <class Load>
-std::int64_t eval_with(const Rhs& rhs, Load&& load) {
-  auto operand = [&load](const Operand& op) {
-    return op.is_var() ? load(op.var_id()) : op.const_value();
+// zero yields 0, INT64_MIN / -1 wraps, comparisons yield 1/0.
+std::int64_t eval(const Rhs& rhs, const std::vector<std::int64_t>& store) {
+  auto operand = [&store](const Operand& op) {
+    return op.is_var() ? store[op.var_id().index()] : op.const_value();
   };
   if (rhs.is_trivial()) return operand(rhs.trivial());
   const Term& t = rhs.term();
@@ -93,7 +78,7 @@ class DetMachine {
     const bool cost = oracle_ != nullptr;
     tasks_[0].pc = p_.root_entry();
     if (cost) tasks_[0].phases.assign(1, 0);
-    ready_.push_back(RegionId(0));
+    make_ready(RegionId(0));
     bool root_halted = false;
 
     while (!ready_.empty()) {
@@ -102,6 +87,8 @@ class DetMachine {
         instrs_total_ += res.instrs;
         return res;  // ok stays false: budget exhausted
       }
+      // ready_ is sorted by region index, so a biased stratum's pick is
+      // its front or back; 1 in 8 of its picks stays uniform.
       std::size_t pick = 0;
       if (rng_ != nullptr && ready_.size() > 1) {
         if (limits_.schedule_bias == 0 || rng_->below(8) == 0) {
@@ -115,16 +102,16 @@ class DetMachine {
         // Resumed past its last instruction: a barrier that was the final
         // statement of its component pre-advanced the pc to the component
         // exit before parking. Halting is the whole step.
-        ready_[pick] = ready_.back();
-        ready_.pop_back();
+        unready(r);
         on_halt(r, cost, &root_halted);
         continue;
       }
       StepOutcome out = step(r, cost, &res);
       ++res.instrs;
       if (out != StepOutcome::kContinue) {
-        ready_[pick] = ready_.back();
-        ready_.pop_back();
+        // By value, not by `pick`: the step may have made other tasks
+        // ready and shifted r's slot.
+        unready(r);
         if (out == StepOutcome::kHalted) on_halt(r, cost, &root_halted);
       }
     }
@@ -153,7 +140,6 @@ class DetMachine {
   StepOutcome step(RegionId r, bool cost, ExecResult* res) {
     Task& t = tasks_[r.index()];
     const Instr& in = p_.code[t.pc];
-    auto load = [this](VarId v) { return store_[v.index()]; };
     switch (in.op) {
       case Op::kNop:
         return advance(t, in.target);
@@ -162,7 +148,7 @@ class DetMachine {
           t.phases.back() += 1;
           res->computations += 1;
         }
-        t.acc = eval_with(in.rhs, load);
+        t.acc = eval(in.rhs, store_);
         return advance(t, in.target);
       case Op::kStore:
         store_[in.dst.index()] = t.acc;
@@ -172,13 +158,13 @@ class DetMachine {
           t.phases.back() += 1;
           res->computations += 1;
         }
-        store_[in.dst.index()] = eval_with(in.rhs, load);
+        store_[in.dst.index()] = eval(in.rhs, store_);
         return advance(t, in.target);
       case Op::kBranch: {
         std::size_t idx =
             oracle_ != nullptr
                 ? oracle_->choose(in.src, visits_[in.src.value()]++, 2)
-                : (eval_with(in.rhs, load) != 0 ? 0 : 1);
+                : (eval(in.rhs, store_) != 0 ? 0 : 1);
         return advance(t, idx == 0 ? in.target : in.target2);
       }
       case Op::kChoose: {
@@ -200,7 +186,7 @@ class DetMachine {
           c.pc = p_.region_entry[comp.index()];
           c.acc = 0;
           if (cost) c.phases.assign(1, 0);
-          ready_.push_back(comp);
+          make_ready(comp);
         }
         return StepOutcome::kParked;
       }
@@ -210,7 +196,7 @@ class DetMachine {
         t.pc = in.target;  // pre-advance: release just re-enqueues
         st.waiting.push_back(r);
         if (st.waiting.size() == st.live) {
-          for (RegionId w : st.waiting) ready_.push_back(w);
+          for (RegionId w : st.waiting) make_ready(w);
           st.waiting.clear();
         }
         return StepOutcome::kParked;
@@ -223,6 +209,14 @@ class DetMachine {
     if (target == kHaltPc) return StepOutcome::kHalted;
     t.pc = target;
     return StepOutcome::kContinue;
+  }
+
+  void make_ready(RegionId r) {
+    ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), r), r);
+  }
+
+  void unready(RegionId r) {
+    ready_.erase(std::lower_bound(ready_.begin(), ready_.end(), r));
   }
 
   void on_halt(RegionId r, bool cost, bool* root_halted) {
@@ -256,7 +250,7 @@ class DetMachine {
           parent.phases.back() += bottleneck;
         }
       }
-      ready_.push_back(s.parent);
+      make_ready(s.parent);
       return;
     }
     // A sibling may be the last one a pending barrier was waiting for: a
@@ -264,7 +258,7 @@ class DetMachine {
     // zero-statement-component case — without this re-check the barrier
     // would deadlock).
     if (!st.waiting.empty() && st.waiting.size() == st.live) {
-      for (RegionId w : st.waiting) ready_.push_back(w);
+      for (RegionId w : st.waiting) make_ready(w);
       st.waiting.clear();
     }
   }
@@ -281,262 +275,11 @@ class DetMachine {
   std::uint64_t instrs_total_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Parallel machine: par components as tasks on Chase-Lev deques, shared
-// store in seq_cst atomics. Task structs are plain: ownership transfers
-// through deque pushes (release) and steals (seq_cst/acquire), and every
-// park/unpark edge goes through the owning statement's mutex, so all task
-// writes happen-before the next runner's reads.
-// ---------------------------------------------------------------------------
-
-class ParMachine {
- public:
-  ParMachine(const VmProgram& p, const ParallelOptions& opts)
-      : p_(p), opts_(opts) {}
-
-  ExecResult run() {
-    std::size_t workers = opts_.workers != 0
-                              ? opts_.workers
-                              : std::thread::hardware_concurrency();
-    workers = std::max<std::size_t>(1, std::min(workers, p_.num_regions));
-
-    store_ = std::make_unique<std::atomic<std::int64_t>[]>(p_.num_vars);
-    for (std::size_t i = 0; i < p_.num_vars; ++i) store_[i].store(0);
-    tasks_.assign(p_.num_regions, Task{});
-    stmts_ = std::make_unique<StmtState[]>(p_.par_stmts.size());
-    budget_.store(static_cast<std::int64_t>(opts_.max_steps));
-    for (std::size_t w = 0; w < workers; ++w) {
-      deques_.push_back(
-          std::make_unique<driver::WorkStealingDeque>(p_.num_regions + 1));
-    }
-
-    tasks_[0].pc = p_.root_entry();
-    in_flight_.store(1);
-    PARCM_CHECK(deques_[0]->push(0), "vm deque full at seed");
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([this, w] { worker(w); });
-    }
-    for (std::thread& th : pool) th.join();
-
-    ExecResult res;
-    res.ok = done_.load() && !aborted_.load();
-    res.deadlocked = deadlocked_.load();
-    res.instrs = instrs_.load();
-    res.store.resize(p_.num_vars);
-    for (std::size_t i = 0; i < p_.num_vars; ++i) {
-      res.store[i] = store_[i].load();
-    }
-    return res;
-  }
-
- private:
-  struct Task {
-    Pc pc = kHaltPc;
-    std::int64_t acc = 0;
-  };
-  struct StmtState {
-    std::mutex m;
-    std::size_t live = 0;
-    std::vector<RegionId> waiting;
-  };
-
-  void worker(std::size_t w) {
-    Rng rng(mix(opts_.seed ^ mix(w + 1)));
-    // Seeded victim rotation: each worker probes the others in its own
-    // pseudo-random order, so repeated runs explore different steal
-    // patterns deterministically per (seed, worker).
-    std::vector<std::size_t> victims;
-    for (std::size_t v = 0; v < deques_.size(); ++v) {
-      if (v != w) victims.push_back(v);
-    }
-    for (std::size_t i = victims.size(); i > 1; --i) {
-      std::swap(victims[i - 1], victims[rng.below(i)]);
-    }
-
-    std::uint64_t local_instrs = 0;
-    auto wait_start = std::chrono::steady_clock::now();
-    while (!done_.load(std::memory_order_acquire) && !aborted_.load()) {
-      std::size_t job = 0;
-      bool got = deques_[w]->pop(&job);
-      for (std::size_t k = 0; !got && k < victims.size(); ++k) {
-        got = deques_[victims[k]]->steal(&job);
-      }
-      if (!got) {
-        if (in_flight_.load() == 0 && !done_.load()) {
-          // Nothing queued, nothing running, program not terminated: every
-          // remaining task is parked forever. Validated graphs cannot get
-          // here; flag instead of hanging.
-          deadlocked_.store(true);
-          done_.store(true, std::memory_order_release);
-        }
-        std::this_thread::yield();
-        continue;
-      }
-      PARCM_OBS_HIST(
-          "vm.schedule_latency_ns",
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - wait_start)
-                  .count()));
-      run_task(RegionId(static_cast<std::uint32_t>(job)), w, &local_instrs);
-      wait_start = std::chrono::steady_clock::now();
-    }
-    instrs_.fetch_add(local_instrs);
-    PARCM_OBS_COUNT("vm.instrs_executed", local_instrs);
-  }
-
-  void run_task(RegionId r, std::size_t w, std::uint64_t* local_instrs) {
-    for (;;) {
-      if (tasks_[r.index()].pc == kHaltPc) {
-        // Resumed at the component exit (trailing barrier): halt directly.
-        on_halt(r, w);
-        return;
-      }
-      ++*local_instrs;
-      if ((*local_instrs & 0x3FF) == 0 &&
-          budget_.fetch_sub(0x400) <= 0) {
-        aborted_.store(true);
-        done_.store(true, std::memory_order_release);
-        return;
-      }
-      StepOutcome out = step(r, w);
-      // After kParked the task may already be running on another worker
-      // (barrier release re-enqueued it); it must not be touched here.
-      if (out == StepOutcome::kParked) return;
-      if (out == StepOutcome::kHalted) {
-        on_halt(r, w);
-        return;
-      }
-    }
-  }
-
-  void enqueue(RegionId r, std::size_t w) {
-    in_flight_.fetch_add(1);
-    PARCM_CHECK(deques_[w]->push(r.index()), "vm deque overflow");
-  }
-
-  StepOutcome step(RegionId r, std::size_t w) {
-    Task& t = tasks_[r.index()];
-    const Instr& in = p_.code[t.pc];
-    auto load = [this](VarId v) { return store_[v.index()].load(); };
-    switch (in.op) {
-      case Op::kNop:
-        return advance(t, in.target);
-      case Op::kEval:
-        t.acc = eval_with(in.rhs, load);
-        return advance(t, in.target);
-      case Op::kStore:
-        store_[in.dst.index()].store(t.acc);
-        return advance(t, in.target);
-      case Op::kAssign:
-        store_[in.dst.index()].store(eval_with(in.rhs, load));
-        return advance(t, in.target);
-      case Op::kBranch:
-        return advance(t, eval_with(in.rhs, load) != 0 ? in.target
-                                                       : in.target2);
-      case Op::kChoose: {
-        // Any alternative is a legal behaviour; a cheap hash of (worker,
-        // instr count) decorrelates repeated visits without carrying a
-        // per-worker rng through the hot path.
-        std::size_t idx = static_cast<std::size_t>(
-            mix(opts_.seed ^ (w << 20) ^ choice_salt_.fetch_add(1)) %
-            in.choices_len);
-        return advance(t, p_.choice_pool[in.choices_off + idx]);
-      }
-      case Op::kSpawn: {
-        const VmParStmt& s = p_.par_stmts[in.stmt.index()];
-        StmtState& st = stmts_[in.stmt.index()];
-        {
-          std::lock_guard<std::mutex> lock(st.m);
-          st.live = s.components.size();
-          st.waiting.clear();
-        }
-        t.pc = s.resume;  // fully parked before any child can see the stmt
-        for (RegionId comp : s.components) {
-          Task& c = tasks_[comp.index()];
-          c.pc = p_.region_entry[comp.index()];
-          c.acc = 0;
-          enqueue(comp, w);
-        }
-        return StepOutcome::kParked;
-      }
-      case Op::kBarrier: {
-        StmtState& st = stmts_[in.stmt.index()];
-        t.pc = in.target;  // pre-advance before publishing ourselves
-        std::vector<RegionId> release;
-        {
-          std::lock_guard<std::mutex> lock(st.m);
-          st.waiting.push_back(r);
-          if (st.waiting.size() == st.live) {
-            release.swap(st.waiting);
-          }
-        }
-        for (RegionId waiter : release) enqueue(waiter, w);
-        return StepOutcome::kParked;
-      }
-    }
-    PARCM_CHECK(false, "unknown vm opcode");
-  }
-
-  static StepOutcome advance(Task& t, Pc target) {
-    if (target == kHaltPc) return StepOutcome::kHalted;
-    t.pc = target;
-    return StepOutcome::kContinue;
-  }
-
-  void on_halt(RegionId r, std::size_t w) {
-    ParStmtId owner = p_.region_owner[r.index()];
-    if (!owner.valid()) {
-      done_.store(true, std::memory_order_release);
-      in_flight_.fetch_sub(1);
-      return;
-    }
-    const VmParStmt& s = p_.par_stmts[owner.index()];
-    StmtState& st = stmts_[owner.index()];
-    bool join = false;
-    std::vector<RegionId> release;
-    {
-      std::lock_guard<std::mutex> lock(st.m);
-      PARCM_CHECK(st.live > 0, "vm component halted twice");
-      --st.live;
-      if (st.live == 0) {
-        join = true;
-      } else if (!st.waiting.empty() && st.waiting.size() == st.live) {
-        // Terminated components are excused from the collective: the last
-        // live sibling may already be waiting (zero-statement components).
-        release.swap(st.waiting);
-      }
-    }
-    if (join) enqueue(s.parent, w);
-    for (RegionId waiter : release) enqueue(waiter, w);
-    // Decrement last: while this halt's pushes are pending the machine is
-    // never observed with zero in-flight tasks.
-    in_flight_.fetch_sub(1);
-  }
-
-  const VmProgram& p_;
-  ParallelOptions opts_;
-  std::unique_ptr<std::atomic<std::int64_t>[]> store_;
-  std::vector<Task> tasks_;
-  std::unique_ptr<StmtState[]> stmts_;
-  std::vector<std::unique_ptr<driver::WorkStealingDeque>> deques_;
-  std::atomic<bool> done_{false};
-  std::atomic<bool> aborted_{false};
-  std::atomic<bool> deadlocked_{false};
-  std::atomic<std::int64_t> budget_{0};
-  std::atomic<std::uint64_t> instrs_{0};
-  std::atomic<std::uint64_t> choice_salt_{0};
-  std::atomic<std::int64_t> in_flight_{0};
-};
-
 }  // namespace
 
 ExecResult run_seeded(const VmProgram& p, std::uint64_t seed,
                       const ExecLimits& limits) {
-  Rng rng(mix(seed));
+  Rng rng(mix64(seed));
   return DetMachine(p).run(&rng, nullptr, limits);
 }
 
@@ -556,12 +299,8 @@ SeededRunner::SeededRunner(const VmProgram& p)
 SeededRunner::~SeededRunner() = default;
 
 ExecResult SeededRunner::run(std::uint64_t seed, const ExecLimits& limits) {
-  Rng rng(mix(seed));
+  Rng rng(mix64(seed));
   return impl_->machine.run(&rng, nullptr, limits);
-}
-
-ExecResult run_parallel(const VmProgram& p, const ParallelOptions& opts) {
-  return ParMachine(p, opts).run();
 }
 
 }  // namespace parcm::vm

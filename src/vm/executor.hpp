@@ -1,15 +1,16 @@
 // Executors for the parallel-flow-graph bytecode.
 //
-// Three modes over one instruction set:
+// One machine, two modes over one instruction set:
 //
-//  * run_seeded — the oracle's mode. One OS thread, but every instruction
-//    boundary is a schedule point: a pinned xoshiro stream picks uniformly
-//    among the runnable tasks, so one (program, seed) pair names exactly
-//    one maximal interleaving, reproducible on any platform. Right-hand
-//    sides evaluate in a single step (the Remark 2.1 granularity), so with
-//    a split lowering the set of reachable final stores over all seeds is
-//    the enumerator's behaviour set — which is what makes seeded VM runs a
-//    sound sampling oracle (verify::vm_differential_check).
+//  * run_seeded — the oracles' mode. One OS thread, but every instruction
+//    boundary is a schedule point: a pinned xoshiro stream picks among the
+//    runnable tasks, so one (program, seed, bias) triple names exactly one
+//    maximal interleaving, reproducible on any platform. Right-hand sides
+//    evaluate in a single step (the Remark 2.1 granularity), so with a
+//    split lowering the set of reachable final stores over all seeds is the
+//    enumerator's behaviour set — which is what makes seeded VM runs a
+//    sound sampling oracle. Both differential oracles draw their schedules
+//    here (verify::sample_finals).
 //
 //  * run_with_oracle — the cost model's mode. Branches and nondeterministic
 //    choices follow a BranchOracle keyed on (originating node, visit index)
@@ -21,22 +22,15 @@
 //    executional-improvement regression test holds the two implementations
 //    against each other.
 //
-//  * run_parallel — the wall-clock mode. Par components become tasks on
-//    Chase-Lev work-stealing deques (driver/work_queue.hpp), one deque per
-//    worker, shared store in seq_cst atomics. Interleaving granularity here
-//    is the hardware's (individual loads and stores), strictly finer than
-//    the oracle's single-step rhs evaluation — fine for timing and TSan
-//    stress, not for behaviour-set comparisons.
-//
-// Join and barrier protocol (all modes): a spawner parks with its pc
-// pre-set to the statement's ParEnd; the last component to halt re-enqueues
-// it. A task arriving at a barrier parks with its pc pre-set past the
-// barrier; the statement releases all waiters when every *live* component
-// waits. A component that halts decrements the live count and re-checks the
-// release condition — this is what keeps a barrier paired with a
-// zero-statement sibling component from deadlocking (the empty component
-// halts immediately and is excused from the collective, matching
-// barrier_release_transitions in the interpreter).
+// Join and barrier protocol: a spawner parks with its pc pre-set to the
+// statement's ParEnd; the last component to halt re-enqueues it. A task
+// arriving at a barrier parks with its pc pre-set past the barrier; the
+// statement releases all waiters when every *live* component waits. A
+// component that halts decrements the live count and re-checks the release
+// condition — this is what keeps a barrier paired with a zero-statement
+// sibling component from deadlocking (the empty component halts immediately
+// and is excused from the collective, matching barrier_release_transitions
+// in the interpreter).
 #pragma once
 
 #include <cstdint>
@@ -52,14 +46,13 @@ struct ExecLimits {
   // Instruction budget for one execution; nondeterministic loops may spin,
   // the budget turns them into ok=false instead of a hang.
   std::size_t max_steps = 1u << 20;
-  // Schedule-perturbation knob for the seeded mode: 0 picks uniformly
-  // among the runnable tasks at every step; negative prefers the
-  // lowest-indexed ready slot and positive the highest (7 of 8 picks,
-  // the rest stay uniform). Biased streams drive runs toward the corner
-  // interleavings — components running (almost) to completion in or
-  // against spawn order — that a uniform sampler reaches only with
-  // vanishing probability; verify::vm_differential_check stratifies its
-  // schedule budget across all three.
+  // Schedule stratum for the seeded mode: 0 picks uniformly among the
+  // runnable tasks at every step; negative prefers the lowest-indexed
+  // ready region and positive the highest (7 of 8 picks, the rest stay
+  // uniform). Regions are numbered in source order, so the biased strata
+  // drive runs toward the corner interleavings — components running
+  // (almost) to completion left-first or right-first — that a uniform
+  // sampler reaches only with vanishing probability.
   int schedule_bias = 0;
 };
 
@@ -79,13 +72,14 @@ ExecResult run_seeded(const VmProgram& p, std::uint64_t seed,
                       const ExecLimits& limits = {});
 
 // Amortized form of run_seeded for samplers that execute one program under
-// many seeds (verify::vm_differential_check runs hundreds of schedules per
-// check): one machine's task/store/ready buffers are reused across runs, so
-// the per-run cost is the execution itself, not the setup. run(seed,
-// limits) returns exactly what run_seeded(p, seed, limits) would.
+// many seeds (verify::sample_finals runs hundreds of schedules per check):
+// one machine's task/store/ready buffers are reused across runs, so the
+// per-run cost is the execution itself, not the setup. run(seed, limits)
+// returns exactly what run_seeded(p, seed, limits) would.
 class SeededRunner {
  public:
-  explicit SeededRunner(const VmProgram& p);
+  explicit SeededRunner(const VmProgram& p);  // p must outlive the runner
+  explicit SeededRunner(VmProgram&&) = delete;
   ~SeededRunner();
   SeededRunner(const SeededRunner&) = delete;
   SeededRunner& operator=(const SeededRunner&) = delete;
@@ -102,14 +96,5 @@ class SeededRunner {
 // decisions and visit counting mirror semantics/cost.hpp.
 ExecResult run_with_oracle(const VmProgram& p, BranchOracle& oracle,
                            const ExecLimits& limits = {});
-
-struct ParallelOptions {
-  std::size_t workers = 0;   // 0 = hardware concurrency (capped at regions)
-  std::uint64_t seed = 0;    // perturbs each worker's steal-victim order
-  std::size_t max_steps = 1u << 22;  // global instruction budget
-};
-
-// Free-running execution on real threads; time/computations stay 0.
-ExecResult run_parallel(const VmProgram& p, const ParallelOptions& opts = {});
 
 }  // namespace parcm::vm

@@ -8,6 +8,7 @@
 #include "obs/json.hpp"
 #include "semantics/cost.hpp"
 #include "support/diagnostics.hpp"
+#include "support/rng.hpp"
 #include "verify/fuzz.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/executor.hpp"
@@ -35,13 +36,6 @@ struct Slot {
   std::size_t skipped = 0;
 };
 
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15uLL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9uLL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBuLL;
-  return x ^ (x >> 31);
-}
-
 Slot measure_one(const CorpusOptions& options, std::size_t index) {
   Slot slot;
   lang::Program ast = verify::fuzz_program_pooled(options.seed, index,
@@ -58,7 +52,7 @@ Slot measure_one(const CorpusOptions& options, std::size_t index) {
   limits.max_steps = options.max_steps;
 
   for (std::size_t s = 0; s < options.schedules; ++s) {
-    std::uint64_t path_seed = mix(options.seed ^ mix(index) ^ s);
+    std::uint64_t path_seed = mix64(options.seed ^ mix64(index) ^ s);
     SeededOracle oracle_before(path_seed);
     SeededOracle oracle_after(path_seed);
     ExecResult r_before = run_with_oracle(vm_before, oracle_before, limits);

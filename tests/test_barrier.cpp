@@ -14,6 +14,8 @@
 #include "semantics/enumerator.hpp"
 #include "semantics/equivalence.hpp"
 #include "semantics/product.hpp"
+#include "vm/bytecode.hpp"
+#include "vm/executor.hpp"
 #include "workload/randomprog.hpp"
 
 namespace parcm {
@@ -153,17 +155,22 @@ TEST(Barrier, CostModelUnbalancedPhaseCounts) {
 }
 
 TEST(Barrier, ScheduleReplayWithReleases) {
+  // A seed names one schedule, barrier releases included: rerunning it
+  // replays the execution, and every schedule sees b's pre-barrier write.
   Graph g = lang::compile_or_throw(R"(
     par { a := 1; barrier; u := b + 0; } and { b := 2; barrier; skip; }
   )");
+  vm::LowerOptions atomic;
+  atomic.split_assignments = false;
+  vm::VmProgram p = vm::lower_to_bytecode(g, atomic);
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    Rng rng(seed);
-    Schedule sched;
-    auto final = run_random_schedule(g, rng, 100000, &sched);
-    ASSERT_TRUE(final.has_value());
-    auto replayed = replay_schedule(g, sched);
-    ASSERT_TRUE(replayed.has_value());
-    EXPECT_EQ(*replayed, *final);
+    vm::ExecResult first = vm::run_seeded(p, seed);
+    ASSERT_TRUE(first.ok);
+    vm::ExecResult replayed = vm::run_seeded(p, seed);
+    ASSERT_TRUE(replayed.ok);
+    EXPECT_EQ(replayed.store, first.store);
+    EXPECT_EQ(replayed.instrs, first.instrs);
+    EXPECT_EQ(first.store[g.find_var("u")->index()], 2);
   }
 }
 

@@ -6,10 +6,30 @@
 #include <set>
 
 #include "lang/lower.hpp"
-#include "support/diagnostics.hpp"
+#include "vm/bytecode.hpp"
+#include "vm/executor.hpp"
 
 namespace parcm {
 namespace {
+
+// One seeded VM run with atomic assignments, the granularity of the
+// interpreter's transitions. Reads a variable of the final store by name.
+struct SeededRun {
+  SeededRun(const Graph& g, std::uint64_t seed,
+            std::size_t max_steps = std::size_t{1} << 20)
+      : g_(g) {
+    vm::LowerOptions atomic;
+    atomic.split_assignments = false;
+    vm::ExecLimits limits;
+    limits.max_steps = max_steps;
+    result = vm::run_seeded(vm::lower_to_bytecode(g, atomic), seed, limits);
+  }
+  std::int64_t get(const char* name) const {
+    return result.store[g_.find_var(name)->index()];
+  }
+  const Graph& g_;
+  vm::ExecResult result;
+};
 
 TEST(State, EvalOperandsAndRhs) {
   Graph g;
@@ -59,12 +79,11 @@ TEST(Config, InitialAndTerminal) {
 
 TEST(Interpreter, SequentialRun) {
   Graph g = lang::compile_or_throw("x := 2; y := x + 3; z := y * y;");
-  Rng rng(1);
-  auto final = run_random_schedule(g, rng);
-  ASSERT_TRUE(final.has_value());
-  EXPECT_EQ(final->get(*g.find_var("x")), 2);
-  EXPECT_EQ(final->get(*g.find_var("y")), 5);
-  EXPECT_EQ(final->get(*g.find_var("z")), 25);
+  SeededRun run(g, 1);
+  ASSERT_TRUE(run.result.ok);
+  EXPECT_EQ(run.get("x"), 2);
+  EXPECT_EQ(run.get("y"), 5);
+  EXPECT_EQ(run.get("z"), 25);
 }
 
 TEST(Interpreter, DeterministicConditionals) {
@@ -73,11 +92,10 @@ TEST(Interpreter, DeterministicConditionals) {
     if (x < 10) { y := 1; } else { y := 2; }
     if (x < 2) { z := 1; } else { z := 2; }
   )");
-  Rng rng(1);
-  auto final = run_random_schedule(g, rng);
-  ASSERT_TRUE(final.has_value());
-  EXPECT_EQ(final->get(*g.find_var("y")), 1);
-  EXPECT_EQ(final->get(*g.find_var("z")), 2);
+  SeededRun run(g, 1);
+  ASSERT_TRUE(run.result.ok);
+  EXPECT_EQ(run.get("y"), 1);
+  EXPECT_EQ(run.get("z"), 2);
 }
 
 TEST(Interpreter, WhileCondTerminates) {
@@ -85,11 +103,10 @@ TEST(Interpreter, WhileCondTerminates) {
     i := 0; s := 0;
     while (i < 5) { s := s + i; i := i + 1; }
   )");
-  Rng rng(3);
-  auto final = run_random_schedule(g, rng);
-  ASSERT_TRUE(final.has_value());
-  EXPECT_EQ(final->get(*g.find_var("i")), 5);
-  EXPECT_EQ(final->get(*g.find_var("s")), 10);
+  SeededRun run(g, 3);
+  ASSERT_TRUE(run.result.ok);
+  EXPECT_EQ(run.get("i"), 5);
+  EXPECT_EQ(run.get("s"), 10);
 }
 
 TEST(Interpreter, ParallelJoinWaitsForAllComponents) {
@@ -98,13 +115,12 @@ TEST(Interpreter, ParallelJoinWaitsForAllComponents) {
     w := 9;
   )");
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng rng(seed);
-    auto final = run_random_schedule(g, rng);
-    ASSERT_TRUE(final.has_value());
-    EXPECT_EQ(final->get(*g.find_var("x")), 1);
-    EXPECT_EQ(final->get(*g.find_var("y")), 2);
-    EXPECT_EQ(final->get(*g.find_var("z")), 3);
-    EXPECT_EQ(final->get(*g.find_var("w")), 9);
+    SeededRun run(g, seed);
+    ASSERT_TRUE(run.result.ok);
+    EXPECT_EQ(run.get("x"), 1);
+    EXPECT_EQ(run.get("y"), 2);
+    EXPECT_EQ(run.get("z"), 3);
+    EXPECT_EQ(run.get("w"), 9);
   }
 }
 
@@ -118,11 +134,10 @@ TEST(Interpreter, NestedParallel) {
     }
   )");
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng rng(seed);
-    auto final = run_random_schedule(g, rng);
-    ASSERT_TRUE(final.has_value());
-    EXPECT_EQ(final->get(*g.find_var("c")), 3);
-    EXPECT_EQ(final->get(*g.find_var("d")), 4);
+    SeededRun run(g, seed);
+    ASSERT_TRUE(run.result.ok);
+    EXPECT_EQ(run.get("c"), 3);
+    EXPECT_EQ(run.get("d"), 4);
   }
 }
 
@@ -130,18 +145,16 @@ TEST(Interpreter, RaceProducesDifferentOutcomes) {
   Graph g = lang::compile_or_throw("par { x := 1; } and { x := 2; }");
   std::set<std::int64_t> outcomes;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    Rng rng(seed);
-    auto final = run_random_schedule(g, rng);
-    ASSERT_TRUE(final.has_value());
-    outcomes.insert(final->get(*g.find_var("x")));
+    SeededRun run(g, seed);
+    ASSERT_TRUE(run.result.ok);
+    outcomes.insert(run.get("x"));
   }
   EXPECT_EQ(outcomes, (std::set<std::int64_t>{1, 2}));
 }
 
 TEST(Interpreter, StepBoundOnDivergentLoop) {
   Graph g = lang::compile_or_throw("while (1 < 2) { x := x + 1; }");
-  Rng rng(1);
-  EXPECT_FALSE(run_random_schedule(g, rng, 1000).has_value());
+  EXPECT_FALSE(SeededRun(g, 1, 1000).result.ok);
 }
 
 TEST(Transitions, ParkedParentNotRunnableUntilChildrenDone) {
@@ -172,10 +185,9 @@ TEST(Transitions, InterleavingCountForTwoIndependentWrites) {
   // Reachable schedules of {A1 A2} || {B}: B before A1, between, after.
   std::set<std::int64_t> outcomes;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    Rng rng(seed);
-    auto final = run_random_schedule(g, rng);
-    ASSERT_TRUE(final.has_value());
-    outcomes.insert(final->get(*g.find_var("x")));
+    SeededRun run(g, seed);
+    ASSERT_TRUE(run.result.ok);
+    outcomes.insert(run.get("x"));
   }
   EXPECT_EQ(outcomes, (std::set<std::int64_t>{2, 3}));
 }
@@ -186,7 +198,7 @@ TEST(ConfigHash, DistinctConfigsHashDifferently) {
   EXPECT_NE(ConfigHash{}(a), ConfigHash{}(b));
 }
 
-
+// A seed is the VM's schedule record: rerunning it replays the execution.
 TEST(Schedule, RecordAndReplayReproducesFinalState) {
   Graph g = lang::compile_or_throw(R"(
     a := 2; b := 3;
@@ -194,49 +206,26 @@ TEST(Schedule, RecordAndReplayReproducesFinalState) {
     w := x + y;
   )");
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    Rng rng(seed);
-    Schedule sched;
-    auto final = run_random_schedule(g, rng, 100000, &sched);
-    ASSERT_TRUE(final.has_value());
-    auto replayed = replay_schedule(g, sched);
-    ASSERT_TRUE(replayed.has_value()) << seed;
-    EXPECT_EQ(*replayed, *final) << seed;
+    SeededRun first(g, seed);
+    ASSERT_TRUE(first.result.ok);
+    SeededRun replayed(g, seed);
+    ASSERT_TRUE(replayed.result.ok) << seed;
+    EXPECT_EQ(replayed.result.store, first.result.store) << seed;
+    EXPECT_EQ(replayed.result.instrs, first.result.instrs) << seed;
   }
-}
-
-TEST(Schedule, ReplayOnWrongGraphThrows) {
-  Graph g = lang::compile_or_throw("par { x := 1; } and { y := 2; }");
-  Rng rng(3);
-  Schedule sched;
-  ASSERT_TRUE(run_random_schedule(g, rng, 100000, &sched).has_value());
-  Graph other = lang::compile_or_throw("x := 1; y := 2;");
-  EXPECT_THROW(replay_schedule(other, sched), InternalError);
-}
-
-TEST(Schedule, PartialScheduleReturnsNullopt) {
-  Graph g = lang::compile_or_throw("x := 1; y := 2;");
-  Rng rng(1);
-  Schedule sched;
-  ASSERT_TRUE(run_random_schedule(g, rng, 100000, &sched).has_value());
-  sched.pop_back();
-  EXPECT_FALSE(replay_schedule(g, sched).has_value());
 }
 
 TEST(Schedule, DistinctSchedulesDistinguishRaceOutcomes) {
   Graph g = lang::compile_or_throw("par { x := 1; } and { x := 2; }");
-  std::map<std::int64_t, Schedule> witness;
+  std::map<std::int64_t, std::uint64_t> witness;  // outcome -> seed
   for (std::uint64_t seed = 0; seed < 64 && witness.size() < 2; ++seed) {
-    Rng rng(seed);
-    Schedule sched;
-    auto final = run_random_schedule(g, rng, 100000, &sched);
-    ASSERT_TRUE(final.has_value());
-    witness.emplace(final->get(*g.find_var("x")), sched);
+    SeededRun run(g, seed);
+    ASSERT_TRUE(run.result.ok);
+    witness.emplace(run.get("x"), seed);
   }
   ASSERT_EQ(witness.size(), 2u);
-  for (auto& [value, sched] : witness) {
-    auto replayed = replay_schedule(g, sched);
-    ASSERT_TRUE(replayed.has_value());
-    EXPECT_EQ(replayed->get(*g.find_var("x")), value);
+  for (auto& [value, seed] : witness) {
+    EXPECT_EQ(SeededRun(g, seed).get("x"), value);
   }
 }
 

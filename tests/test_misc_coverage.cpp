@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "parcm.hpp"
+#include "vm/bytecode.hpp"
+#include "vm/executor.hpp"
 
 namespace parcm {
 namespace {
@@ -161,12 +163,14 @@ TEST(Misc, InterpreterBarrierRandomSchedules) {
   Graph g = lang::compile_or_throw(R"(
     par { a := 1; barrier; u := b + 0; } and { b := 2; barrier; v := a + 0; }
   )");
+  vm::LowerOptions atomic;
+  atomic.split_assignments = false;
+  vm::VmProgram p = vm::lower_to_bytecode(g, atomic);
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    Rng rng(seed);
-    auto final = run_random_schedule(g, rng);
-    ASSERT_TRUE(final.has_value()) << seed;
-    EXPECT_EQ(final->get(*g.find_var("u")), 2);
-    EXPECT_EQ(final->get(*g.find_var("v")), 1);
+    vm::ExecResult r = vm::run_seeded(p, seed);
+    ASSERT_TRUE(r.ok) << seed;
+    EXPECT_EQ(r.store[g.find_var("u")->index()], 2);
+    EXPECT_EQ(r.store[g.find_var("v")->index()], 1);
   }
 }
 

@@ -3,6 +3,7 @@
 // fuzz driver with miscompile injection, and the pipeline/obs wiring.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "figures/figures.hpp"
@@ -188,6 +189,41 @@ TEST(Oracle, SampledModeSeesInjectedDivergence) {
   verify::Verdict v = verify::differential_check(g, t, b);
   EXPECT_FALSE(v.exact);
   EXPECT_EQ(verify::Status::kDiverged, v.status) << v.summary();
+}
+
+TEST(Oracle, SampledModeSeesStaleTemporary) {
+  // Reduced from a PCM miscompile found by fuzzing: the first component's
+  // second v0 * v2 reads the temporary even though the sibling component
+  // writes v2 and v0 between the two occurrences. Only some interleavings
+  // expose the stale value, so this pins the sampler's power: the default
+  // sample budget must reach the transformed-only final state.
+  Graph g = lang::compile_or_throw(R"(
+    par { v1 := v0 * v2; v3 := v0 * v2; }
+    and {
+      par { v2 := 9; v1 := v2 + v1; } and { v0 := v2 + v1; }
+      v2 := v2 + v1;
+    }
+  )");
+  Graph t = lang::compile_or_throw(R"(
+    par { h := v0 * v2; v1 := h; v3 := h; }
+    and {
+      par { v2 := 9; v1 := v2 + v1; } and { v0 := v2 + v1; }
+      v2 := v2 + v1;
+    }
+  )");
+  verify::Budget b;
+  b.max_exact_nodes = 1;  // force the sampled path
+  verify::Verdict v = verify::differential_check(g, t, b);
+  EXPECT_FALSE(v.exact);
+  ASSERT_EQ(verify::Status::kDiverged, v.status) << v.summary();
+  ASSERT_TRUE(v.witness.has_value());
+  std::map<std::string, std::int64_t> witness;
+  for (std::size_t i = 0; i < v.observed.size(); ++i) {
+    witness[v.observed[i]] = (*v.witness)[i];
+  }
+  EXPECT_EQ(witness, (std::map<std::string, std::int64_t>{
+                         {"v0", 9}, {"v1", 0}, {"v2", 18}, {"v3", 0}}))
+      << v.summary();
 }
 
 TEST(Oracle, CountersMove) {

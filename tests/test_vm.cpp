@@ -5,6 +5,7 @@
 // the paper's figures.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -115,6 +116,32 @@ TEST(VmExec, DistinctSeedsExploreDistinctInterleavings) {
   EXPECT_EQ(outcomes, (std::set<std::int64_t>{1, 2}));
 }
 
+TEST(VmExec, BiasedStrataPickByRegionIndex) {
+  // Components are regions 1, 2, 3 in source order. A left-biased stratum
+  // runs them (almost always) left-first, so the last write is component
+  // 3's; a right-biased one runs them right-first and component 1 writes
+  // last. The order is the region index, not the order tasks became ready:
+  // after the spawn that order would put component 3 first.
+  Graph g = lang::compile_or_throw(
+      "par { x := 1; } and { x := 2; } and { x := 3; }");
+  VmProgram p = lower_to_bytecode(g);
+  auto last_writer_counts = [&](int bias) {
+    ExecLimits limits;
+    limits.schedule_bias = bias;
+    std::map<std::int64_t, int> counts;
+    for (std::uint64_t s = 0; s < 64; ++s) {
+      ExecResult r = run_seeded(p, s, limits);
+      EXPECT_TRUE(r.ok);
+      ++counts[r.store[g.find_var("x")->index()]];
+    }
+    return counts;
+  };
+  std::map<std::int64_t, int> left = last_writer_counts(-1);
+  std::map<std::int64_t, int> right = last_writer_counts(1);
+  EXPECT_GE(left[3], 48) << "left-first stratum did not favour region order";
+  EXPECT_GE(right[1], 48) << "right-first stratum did not favour region order";
+}
+
 TEST(VmExec, SeededFinalsSubsetOfEnumeratedBehaviours) {
   Graph g = lang::compile_or_throw(R"(
     par { x := a + 1; a := 2; } and { a := x + 1; }
@@ -198,7 +225,7 @@ TEST(VmJoin, TrailingBarrierResumesIntoHalt) {
   // Regression (found by the fuzz shape pool): a barrier that is the final
   // statement of its component patches its post-barrier edge to the
   // component exit, so the release re-enqueues the task with pc already at
-  // kHaltPc. Both executors must treat that resume as the halt itself, not
+  // kHaltPc. The executor must treat that resume as the halt itself, not
   // fetch through the sentinel. Covers barrier-only components and a
   // trailing barrier inside a nested par.
   Graph g = lang::compile_or_throw(R"(
@@ -213,14 +240,6 @@ TEST(VmJoin, TrailingBarrierResumesIntoHalt) {
   for (std::uint64_t s = 0; s < 48; ++s) {
     ExecResult r = run_seeded(p, s);
     ASSERT_TRUE(r.ok) << "seed " << s << " deadlocked";
-    EXPECT_EQ(r.store[g.find_var("c")->index()], 3);
-  }
-  ParallelOptions popts;
-  popts.workers = 3;
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    popts.seed = s;
-    ExecResult r = run_parallel(p, popts);
-    ASSERT_TRUE(r.ok) << "seed " << s;
     EXPECT_EQ(r.store[g.find_var("c")->index()], 3);
   }
 }
@@ -343,57 +362,6 @@ TEST(VmCost, ExecutionalImprovementOnFigures) {
       EXPECT_EQ(rb.time, analytic->first.time) << "seed " << s;
       EXPECT_EQ(ra.time, analytic->second.time) << "seed " << s;
     }
-  }
-}
-
-// --- parallel mode: real threads through the work-stealing deques ---
-
-TEST(VmParallel, SequentialProgramMatchesSeededRun) {
-  Graph g = lang::compile_or_throw(R"(
-    a := 5; b := a + 2; c := a * b; d := c - b;
-  )");
-  VmProgram p = lower_to_bytecode(g);
-  ExecResult seeded = run_seeded(p, 1);
-  ParallelOptions popts;
-  popts.workers = 4;
-  ExecResult par = run_parallel(p, popts);
-  ASSERT_TRUE(seeded.ok && par.ok);
-  EXPECT_EQ(par.store, seeded.store);
-}
-
-TEST(VmParallel, FiguresTerminateOnRealThreads) {
-  const Graph figures[] = {figures::fig2(), figures::fig7(), figures::fig10()};
-  for (const Graph& g : figures) {
-    VmProgram p = lower_to_bytecode(g);
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      ParallelOptions popts;
-      popts.workers = 4;
-      popts.seed = seed;
-      ExecResult r = run_parallel(p, popts);
-      EXPECT_TRUE(r.ok);
-      EXPECT_FALSE(r.deadlocked);
-      EXPECT_GT(r.instrs, 0u);
-    }
-  }
-}
-
-TEST(VmParallel, BarrierAndEmptyComponentsOnRealThreads) {
-  Graph g = lang::compile_or_throw(R"(
-    par {
-      par { a := 1; barrier; b := a + 1; } and { skip; }
-    } and {
-      c := 3;
-    }
-    d := b + c;
-  )");
-  VmProgram p = lower_to_bytecode(g);
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    ParallelOptions popts;
-    popts.workers = 3;
-    popts.seed = seed;
-    ExecResult r = run_parallel(p, popts);
-    ASSERT_TRUE(r.ok) << "seed " << seed;
-    EXPECT_EQ(r.store[g.find_var("d")->index()], 5);
   }
 }
 
