@@ -35,7 +35,9 @@
 //                       (the byte-identity anchor of the reproducer
 //                       contract; see tests/test_workload.cpp)
 //     --index N         program index for --dump-program
-//     --json            print the machine-readable campaign summary
+//     --json            print the machine-readable campaign summary; stdout
+//                       then carries only that document, and the human
+//                       summary, reproducers and messages go to stderr
 //     --stats           print the verify.* observability counters
 //     --metrics-json F  write the campaign's parcm-metrics-v1 registry dump
 //                       (verify.* counters, check-latency histograms) to F;
@@ -155,13 +157,13 @@ int main(int argc, char** argv) {
   if (!opt.forensics_dir.empty()) obs::flight().set_enabled(true);
 
   verify::FuzzOutcome outcome = verify::run_fuzz(opt);
-  std::cout << outcome.summary() << "\n";
+  std::ostream& human = json ? std::cerr : std::cout;
+  human << outcome.summary() << "\n";
   for (const verify::FuzzFailure& f : outcome.failures) {
-    std::cout << "--- reproducer #" << f.index << " ---\n"
-              << f.reduced_source;
+    human << "--- reproducer #" << f.index << " ---\n" << f.reduced_source;
   }
   if (json) std::cout << outcome.to_json(true) << "\n";
-  if (stats) std::cout << obs::registry().to_string();
+  if (stats) human << obs::registry().to_string();
   if (!metrics_json_path.empty()) {
     std::ofstream out(metrics_json_path);
     if (!out) {
@@ -174,7 +176,7 @@ int main(int argc, char** argv) {
 
   if (expect_catch) {
     if (outcome.divergences > 0) {
-      std::cout << "injected miscompile caught\n";
+      human << "injected miscompile caught\n";
       return 0;
     }
     std::cerr << "injected miscompile NOT caught\n";

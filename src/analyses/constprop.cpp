@@ -96,11 +96,10 @@ CpValue eval_rhs_cp(const Rhs& rhs, const std::vector<CpValue>& state) {
     return CpValue::undef();
   }
   if (!a.is_const() || !b.is_const()) return CpValue::nonconst();
-  // Reuse the interpreter's arithmetic so folding agrees with execution.
-  VarState dummy(0);
+  // The executors' arithmetic, so folding agrees with execution.
   return CpValue::constant(eval_rhs(
-      dummy, Rhs(Term{rhs.term().op, Operand::constant(a.value),
-                      Operand::constant(b.value)})));
+      {}, Rhs(Term{rhs.term().op, Operand::constant(a.value),
+                   Operand::constant(b.value)})));
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 // to NonConst everywhere. For uncontested variables interleavings cannot
 // influence the value, so plain meet-over-graph-paths reasoning is sound.
 //
-// Variables start as the constant 0 (the interpreter's initial state), so
+// Variables start as the constant 0 (the machine's initial store), so
 // the analysis is also a cheap initialization analysis.
 #pragma once
 

@@ -45,7 +45,7 @@ class GraphBuilder {
   // --- control flow ------------------------------------------------------------
   // Nondeterministic 2-way branch (paper branching model).
   void if_nondet(const BlockFn& then_block, const BlockFn& else_block);
-  // Deterministic branch with a condition evaluated by the interpreter.
+  // Deterministic branch on a condition the executors evaluate.
   void if_cond(Rhs cond, const BlockFn& then_block, const BlockFn& else_block);
   // Nondeterministic n-way choice.
   void choose(const std::vector<BlockFn>& alternatives);

@@ -15,7 +15,8 @@
 //   dfa/        the hierarchical bitvector framework (PMFP_BV)
 //   analyses/   up-/down-safety, earliest/replace predicates, liveness
 //   motion/     BCM, LCM, PCM (+ naive baseline), dead-code elimination
-//   semantics/  interpreter, enumerator, cost model, product program
+//   semantics/  store arithmetic, enumerator, cost model, product program
+//   vm/         bytecode and the machine every executor and explorer steps
 //   figures/    the paper's figures as executable programs
 //   workload/   random programs and parameterized families
 #pragma once
@@ -53,12 +54,13 @@
 #include "semantics/cost.hpp"
 #include "semantics/enumerator.hpp"
 #include "semantics/equivalence.hpp"
-#include "semantics/interpreter.hpp"
 #include "semantics/product.hpp"
 #include "semantics/state.hpp"
 #include "support/bitvector.hpp"
 #include "support/diagnostics.hpp"
 #include "support/ids.hpp"
 #include "support/rng.hpp"
+#include "vm/bytecode.hpp"
+#include "vm/executor.hpp"
 #include "workload/families.hpp"
 #include "workload/randomprog.hpp"

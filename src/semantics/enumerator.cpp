@@ -7,6 +7,7 @@
 #include "ir/regions.hpp"
 #include "obs/metrics.hpp"
 #include "support/diagnostics.hpp"
+#include "vm/executor.hpp"
 
 namespace parcm {
 
@@ -82,46 +83,26 @@ std::vector<char> compute_invisible(const Graph& g) {
   return invisible;
 }
 
-// Per-thread progress through a (split) assignment: absent, or the value
-// the pending write will store.
-using Pending = std::vector<std::optional<std::int64_t>>;  // per region
-
-struct StateKey {
-  std::vector<std::uint32_t> config;
-  std::vector<std::int64_t> data;
-  std::vector<std::int64_t> pending;  // interleaved (flag, value) pairs
-
-  bool operator==(const StateKey&) const = default;
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& k) const {
-    std::size_t h = ConfigHash{}(k.config);
-    auto mix = [&h](std::int64_t v) {
-      h ^= static_cast<std::size_t>(v) + 0x9E3779B97F4A7C15ull + (h << 6) +
-           (h >> 2);
-    };
-    for (std::int64_t v : k.data) mix(v);
-    for (std::int64_t v : k.pending) mix(v);
-    return h;
+// Barrier arrivals — and the halts of tasks a release resumed past a
+// trailing barrier — are data-free, and their tasks are blocked for
+// everything else: take them eagerly, so no explored state has a ready task
+// standing at a barrier. Only the task that just stepped and the tasks its
+// step woke can be standing there.
+void settle(const vm::VmProgram& p, vm::MachineState& s, RegionId stepped,
+            std::vector<RegionId>* woken, std::vector<RegionId>* todo) {
+  todo->assign(1, stepped);
+  todo->insert(todo->end(), woken->begin(), woken->end());
+  while (!todo->empty()) {
+    RegionId r = todo->back();
+    todo->pop_back();
+    if (!s.ready(r)) continue;
+    vm::Pc pc = s.pc(r);
+    if (pc != vm::kHaltPc && p.code[pc].op != vm::Op::kBarrier) continue;
+    woken->clear();
+    vm::step(p, s, r, 0, woken);
+    todo->insert(todo->end(), woken->begin(), woken->end());
   }
-};
-
-std::vector<std::int64_t> encode_pending(const Pending& pending) {
-  std::vector<std::int64_t> out;
-  out.reserve(pending.size() * 2);
-  for (const auto& p : pending) {
-    out.push_back(p.has_value() ? 1 : 0);
-    out.push_back(p.value_or(0));
-  }
-  return out;
 }
-
-struct ExplorationState {
-  Config config;
-  VarState vars;
-  Pending pending;
-};
 
 }  // namespace
 
@@ -131,9 +112,13 @@ EnumerationResult enumerate_executions(const Graph& g,
   PARCM_OBS_TIMER("semantics.enumerate");
   EnumerationResult res;
 
-  VarState init(g.num_vars());
+  vm::LowerOptions lower;
+  lower.split_assignments = !options.atomic_assignments;
+  const vm::VmProgram p = vm::lower_to_bytecode(g, lower);
+
+  vm::MachineState init(p);
   for (const auto& [name, value] : options.initial) {
-    if (auto v = g.find_var(name)) init.set(*v, value);
+    if (auto v = g.find_var(name)) init.var(*v) = value;
   }
 
   std::vector<VarId> observed_ids;
@@ -141,73 +126,43 @@ EnumerationResult enumerate_executions(const Graph& g,
   for (const std::string& name : observed) {
     observed_ids.push_back(g.find_var(name).value_or(VarId()));
   }
-  auto project = [&](const VarState& s) {
+  auto project = [&](std::span<const std::int64_t> store) {
     std::vector<std::int64_t> out;
     out.reserve(observed_ids.size());
-    for (VarId v : observed_ids) out.push_back(v.valid() ? s.get(v) : 0);
+    for (VarId v : observed_ids) {
+      out.push_back(v.valid() ? store[v.index()] : 0);
+    }
     return out;
   };
 
-  auto make_key = [&](const ExplorationState& st) {
-    return StateKey{st.config.encode(), st.vars.values(),
-                    options.atomic_assignments ? std::vector<std::int64_t>{}
-                                               : encode_pending(st.pending)};
-  };
-
+  // Keyed by Instr::src: both halves of a split assignment share the rule.
   std::vector<char> invisible;
   if (options.partial_order_reduction) invisible = compute_invisible(g);
 
-  std::unordered_set<StateKey, StateKeyHash> seen;
-  std::deque<ExplorationState> frontier;
-  ExplorationState init_state{Config::initial(g), init,
-                              Pending(g.num_regions())};
-  seen.insert(make_key(init_state));
-  frontier.push_back(std::move(init_state));
+  // The frontier points into `seen`, whose nodes never move.
+  std::unordered_set<vm::MachineState, vm::MachineStateHash> seen;
+  std::deque<const vm::MachineState*> frontier;
+  frontier.push_back(&*seen.insert(std::move(init)).first);
 
-  auto visit = [&](ExplorationState next) {
-    StateKey key = make_key(next);
-    if (seen.contains(key)) return;
-    if (seen.size() >= options.max_states) {
-      res.exhausted = false;
-      return;
-    }
-    seen.insert(std::move(key));
-    frontier.push_back(std::move(next));
-  };
-
+  vm::MachineState next;
+  std::vector<RegionId> woken, todo;
   while (!frontier.empty()) {
-    ExplorationState st = std::move(frontier.front());
+    const vm::MachineState& st = *frontier.front();
     frontier.pop_front();
     ++res.states_explored;
 
-    if (st.config.terminal()) {
-      res.finals.insert(project(st.vars));
+    if (st.terminated()) {
+      res.finals.insert(project(st.store()));
       continue;
     }
 
-    // Barrier releases are deterministic, data-free and their threads are
-    // blocked for everything else: take them alone, eagerly.
-    {
-      std::vector<Transition> releases =
-          barrier_release_transitions(g, st.config);
-      if (!releases.empty()) {
-        ExplorationState next = st;
-        next.config = apply_transition(g, st.config, releases.front());
-        visit(std::move(next));
-        continue;
-      }
-    }
-
-    // Partial-order reduction: if some runnable thread's next step is
-    // invisible, explore only that thread.
+    // Partial-order reduction: if some ready task's next step is
+    // invisible, explore only that task.
     RegionId only;
     if (options.partial_order_reduction) {
-      for (std::size_t i = 0; i < g.num_regions(); ++i) {
+      for (std::size_t i = 0; i < p.num_regions; ++i) {
         RegionId r(static_cast<RegionId::underlying>(i));
-        if (!st.config.active(r) || !thread_runnable(g, st.config, r)) {
-          continue;
-        }
-        if (invisible[st.config.pc(r).index()]) {
+        if (st.ready(r) && invisible[p.code[st.pc(r)].src.index()]) {
           only = r;
           break;
         }
@@ -215,44 +170,31 @@ EnumerationResult enumerate_executions(const Graph& g,
     }
 
     bool any = false;
-    for (std::size_t i = 0; i < g.num_regions(); ++i) {
+    for (std::size_t i = 0; i < p.num_regions; ++i) {
       RegionId r(static_cast<RegionId::underlying>(i));
-      if (only.valid() && r != only) continue;
-      if (!st.config.active(r) || !thread_runnable(g, st.config, r)) continue;
-      NodeId n = st.config.pc(r);
-      const Node& node = g.node(n);
-
-      // Split semantics, first half: evaluate the rhs into the thread-
-      // private pending slot; control does not move yet.
-      if (!options.atomic_assignments && node.kind == NodeKind::kAssign &&
-          !st.pending[r.index()].has_value()) {
-        ExplorationState next = st;
-        next.pending[r.index()] = eval_rhs(st.vars, node.rhs);
-        visit(std::move(next));
+      if (!st.ready(r) || (only.valid() && r != only)) continue;
+      const vm::Instr& in = p.code[st.pc(r)];
+      // Data selects the kBranch edge; every kChoose alternative is a
+      // behaviour.
+      std::uint32_t alt =
+          in.op == vm::Op::kBranch ? vm::data_alternative(st, in) : 0;
+      const std::uint32_t end =
+          in.op == vm::Op::kChoose ? in.choices_len : alt + 1;
+      for (; alt < end; ++alt) {
+        next = st;
+        woken.clear();
+        vm::step(p, next, r, alt, &woken);
+        settle(p, next, r, &woken, &todo);
         any = true;
-        continue;
-      }
-
-      std::vector<Transition> ts;
-      append_thread_transitions(g, st.config, r, &st.vars, &ts);
-      for (const Transition& t : ts) {
-        ExplorationState next = st;
-        if (node.kind == NodeKind::kAssign) {
-          if (options.atomic_assignments) {
-            execute_node(g, n, next.vars);
-          } else {
-            next.vars.set(node.lhs, *st.pending[r.index()]);
-            next.pending[r.index()].reset();
-          }
-        } else {
-          execute_node(g, n, next.vars);
+        if (seen.contains(next)) continue;
+        if (seen.size() >= options.max_states) {
+          res.exhausted = false;
+          continue;
         }
-        next.config = apply_transition(g, st.config, t);
-        visit(std::move(next));
-        any = true;
+        frontier.push_back(&*seen.insert(next).first);
       }
     }
-    PARCM_CHECK(any, "deadlocked configuration during enumeration");
+    PARCM_CHECK(any, "deadlocked state during enumeration");
   }
 
   PARCM_OBS_COUNT("semantics.enum.runs", 1);

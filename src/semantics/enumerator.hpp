@@ -1,6 +1,7 @@
 // Exhaustive exploration of all interleavings x branch choices.
 //
-// Explores the product of control configurations and data states with
+// Lowers the graph to VM bytecode (split or atomic, per the options) and
+// searches the graph of vm::MachineStates that vm::step spans, with
 // memoization, collecting the set of observable final states. This is the
 // ground truth behind the sequential-consistency checks of Figures 3 and 4:
 // a transformation preserves sequential consistency iff every observable
@@ -15,12 +16,11 @@
 #include <vector>
 
 #include "ir/graph.hpp"
-#include "semantics/interpreter.hpp"
 
 namespace parcm {
 
 struct EnumerationOptions {
-  std::size_t max_states = 1u << 20;  // distinct (config, data) pairs
+  std::size_t max_states = 1u << 20;  // distinct machine states
   // Initial values for named variables (unnamed default to 0).
   std::vector<std::pair<std::string, std::int64_t>> initial;
   // true: assignments are atomic. false: the paper's Remark 2.1 semantics —

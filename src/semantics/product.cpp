@@ -5,25 +5,36 @@
 
 #include "dfa/seq_solver.hpp"
 #include "obs/metrics.hpp"
-#include "semantics/interpreter.hpp"
 #include "support/diagnostics.hpp"
+#include "vm/executor.hpp"
 
 namespace parcm {
 
 namespace {
 
-// Product node identity: (original node executed, configuration reached).
+// Product node identity: (original node executed, machine state reached).
 struct Key {
-  std::uint32_t origin;
-  std::vector<std::uint32_t> config;
+  NodeId origin;
+  vm::MachineState state;
 
   bool operator==(const Key&) const = default;
 };
 
 struct KeyHash {
   std::size_t operator()(const Key& k) const {
-    return ConfigHash{}(k.config) * 1099511628211ull ^ k.origin;
+    return vm::MachineStateHash{}(k.state) * 1099511628211ull ^
+           k.origin.value();
   }
+};
+
+// A frontier entry: a state and the product node that reached it. `inside`
+// is valid when the state is mid-node — task `inside` executed the effect
+// of a statement with several out-edges and its kChoose, which belongs to
+// the same graph node, is still to come.
+struct Entry {
+  vm::MachineState state;
+  NodeId pnode;
+  RegionId inside;
 };
 
 }  // namespace
@@ -47,9 +58,19 @@ ProductProgram build_product(const Graph& g, std::size_t max_states) {
   pp.origin[pg.start().index()] = g.start();
   pp.origin[pg.end().index()] = g.end();
 
+  // The product abstracts data, as the paper's analyses do: with the
+  // assignments' effects erased the machine states are pure control states.
+  vm::LowerOptions atomic;
+  atomic.split_assignments = false;
+  vm::VmProgram p = vm::lower_to_bytecode(g, atomic);
+  for (vm::Instr& in : p.code) {
+    if (in.op == vm::Op::kAssign) in.op = vm::Op::kNop;
+  }
+  p.num_vars = 0;
+
   std::unordered_map<Key, NodeId, KeyHash> index;
-  std::deque<std::pair<Config, NodeId>> frontier;
-  frontier.emplace_back(Config::initial(g), pg.start());
+  std::deque<Entry> frontier;
+  frontier.push_back(Entry{vm::MachineState(p), pg.start(), RegionId()});
 
   auto make_node = [&](NodeId orig) {
     const Node& node = g.node(orig);
@@ -63,34 +84,48 @@ ProductProgram build_product(const Graph& g, std::size_t max_states) {
     return pn;
   };
 
+  std::vector<RegionId> woken;
   while (!frontier.empty()) {
-    auto [c, pnode] = std::move(frontier.front());
+    Entry e = std::move(frontier.front());
     frontier.pop_front();
 
-    for (const Transition& t : enabled_transitions(g, c)) {
-      if (t.node == g.end()) {
-        pg.add_edge(pnode, pg.end());
-        continue;
-      }
-      Config c2 = apply_transition(g, c, t);
-      if (t.node == g.start()) {
-        // Executing s* is folded into the product start node (s* is skip
-        // and runs exactly once, so no separate occurrence is needed).
-        frontier.emplace_back(std::move(c2), pg.start());
-        continue;
-      }
-      Key key{t.node.value(), c2.encode()};
-      auto it = index.find(key);
-      if (it == index.end()) {
-        if (index.size() >= max_states) {
-          pp.exhausted = false;
+    for (std::size_t i = 0; i < p.num_regions; ++i) {
+      RegionId r(static_cast<RegionId::underlying>(i));
+      if (!e.state.ready(r) || (e.inside.valid() && r != e.inside)) continue;
+      const vm::Instr& in = p.code[e.state.pc(r)];
+      for (std::uint32_t alt = 0; alt < vm::num_alternatives(in); ++alt) {
+        if (in.src == g.end()) {
+          pg.add_edge(e.pnode, pg.end());
           continue;
         }
-        NodeId pn = make_node(t.node);
-        it = index.emplace(std::move(key), pn).first;
-        frontier.emplace_back(std::move(c2), pn);
+        vm::MachineState next = e.state;
+        woken.clear();
+        vm::step(p, next, r, alt, &woken);
+        if (in.src == g.start()) {
+          // Executing s* is folded into the product start node (s* is skip
+          // and runs exactly once, so no separate occurrence is needed).
+          frontier.push_back(Entry{std::move(next), pg.start(), RegionId()});
+          continue;
+        }
+        if (next.ready(r) && next.pc(r) != vm::kHaltPc &&
+            p.code[next.pc(r)].op == vm::Op::kChoose &&
+            p.code[next.pc(r)].src == in.src) {
+          frontier.push_back(Entry{std::move(next), e.pnode, r});
+          continue;
+        }
+        Key key{in.src, std::move(next)};
+        auto it = index.find(key);
+        if (it == index.end()) {
+          if (index.size() >= max_states) {
+            pp.exhausted = false;
+            continue;
+          }
+          NodeId pn = make_node(in.src);
+          it = index.emplace(key, pn).first;
+          frontier.push_back(Entry{std::move(key.state), pn, RegionId()});
+        }
+        pg.add_edge(e.pnode, it->second);
       }
-      pg.add_edge(pnode, it->second);
     }
   }
 

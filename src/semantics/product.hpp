@@ -2,11 +2,12 @@
 // program making all interleavings explicit (paper Sec. 2 / Fig. 6).
 //
 // Product nodes are pairs (original node just executed, resulting control
-// configuration); edges are the single-step transitions of the interleaving
-// semantics. The product is an ordinary sequential flow graph, so plain MFP
-// on it *is* MOP (distributive bitvector frameworks), and projecting back
-// through the origin map yields the PMOP solution — the reference oracle
-// for the Parallel Bitvector Coincidence Theorem 2.4.
+// state); edges are single steps of vm::step on the atomic lowering with
+// data erased, one step per executed graph node. The product is an
+// ordinary sequential flow graph, so plain MFP on it *is* MOP (distributive
+// bitvector frameworks), and projecting back through the origin map yields
+// the PMOP solution — the reference oracle for the Parallel Bitvector
+// Coincidence Theorem 2.4.
 #pragma once
 
 #include <cstddef>

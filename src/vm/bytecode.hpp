@@ -1,11 +1,11 @@
 // Register-bytecode lowering of parallel flow graphs.
 //
-// The VM closes the loop on the paper's *executional* claims: instead of
-// scoring transformed programs analytically (semantics/cost.hpp) or
-// enumerating their interleavings (semantics/enumerator.hpp), it lowers the
-// graph to a flat instruction array and actually runs it on one thread,
-// either under a seeded scheduler (the mode both differential oracles
-// sample interleavings in) or under a branch oracle (the cost mode).
+// The bytecode is the execution semantics of record: every way the
+// codebase runs a program — seeded schedules (the mode both differential
+// oracles sample interleavings in), branch-oracle cost runs, the exact
+// enumerator and the product program — steps a lowered program with
+// vm::step (vm/executor.hpp). Only the structural cost model
+// (semantics/cost.hpp) stays a separate, independent reference.
 //
 // The lowering is intentionally shallow: one to two instructions per node,
 // region structure preserved as-is. Each region becomes one resumable task
@@ -14,14 +14,15 @@
 // originating NodeId, which is what lets the executor drive branches with
 // the cost model's BranchOracle keyed on (node, visit): code motion
 // preserves node ids, so the same oracle selects corresponding paths
-// through the original and the transformed bytecode.
+// through the original and the transformed bytecode. The explorers key
+// partial-order reduction and product nodes on it too.
 //
 // Split-assignment semantics (Remark 2.1): with `split_assignments` every
 // assignment lowers to kEval (right-hand side into the task-private
 // accumulator; control does not leave the instruction pair) followed by
 // kStore (write + advance), making the read and the write separately
-// schedulable — exactly the model under which PCM is behaviour-preserving
-// and the model the enumerator uses with atomic_assignments=false.
+// schedulable — exactly the model under which PCM is behaviour-preserving.
+// The enumerator explores this lowering when atomic_assignments=false.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/builder.hpp"
 #include "lang/lower.hpp"
+#include "workload/families.hpp"
 
 namespace parcm {
 namespace {
@@ -135,6 +137,69 @@ TEST(Enumerator, CountsStatesExplored) {
   Graph g = lang::compile_or_throw("par { x := 1; } and { y := 2; }");
   auto r = enumerate_executions(g, {"x"});
   EXPECT_GT(r.states_explored, 4u);
+}
+
+// The bench_enumeration families with pinned state counts. Programs without
+// barriers explore exactly these; programs with barriers may explore fewer,
+// since a barrier release is folded into the step of the last arrival. The
+// validate workload's state budget is fixed, so these counts decide which
+// programs it decides exactly.
+Graph two_component_barrier_program(std::size_t len, bool with_barrier) {
+  GraphBuilder b;
+  auto component = [&](const char* prefix) {
+    return [&b, prefix, len, with_barrier] {
+      for (std::size_t i = 0; i < len; ++i) {
+        b.assign(std::string(prefix) + std::to_string(i), GraphBuilder::c(1));
+      }
+      if (with_barrier) b.barrier();
+      for (std::size_t i = 0; i < len; ++i) {
+        b.assign(std::string(prefix) + "q" + std::to_string(i),
+                 GraphBuilder::c(2));
+      }
+    };
+  };
+  b.par({component("a"), component("b")});
+  return b.finish();
+}
+
+TEST(Enumerator, StateCountsOfBenchFamilies) {
+  struct Row {
+    const char* family;
+    std::size_t a, b;  // components x len, or len x with-barrier
+    std::size_t states;
+  };
+  const Row rows[] = {
+      {"par_wide", 2, 2, 25},  {"par_wide", 2, 4, 45},
+      {"par_wide", 2, 6, 73},  {"par_wide", 3, 2, 73},
+      {"par_wide", 3, 3, 134}, {"par_wide", 4, 2, 265},
+      {"split", 2, 1, 30},     {"split", 2, 2, 50},
+      {"split", 2, 3, 78},     {"split", 2, 4, 114},
+      {"split", 2, 5, 158},    {"por", 2, 2, 20},
+      {"por", 2, 4, 36},       {"por", 2, 6, 60},
+      {"por", 3, 2, 39},       {"por", 3, 3, 76},
+      {"por", 4, 2, 94},       {"barrier", 2, 0, 40},
+      {"barrier", 2, 1, 29},   {"barrier", 3, 0, 68},
+      {"barrier", 3, 1, 45},   {"barrier", 4, 0, 104},
+      {"barrier", 4, 1, 65},
+  };
+  for (const Row& row : rows) {
+    const std::string family = row.family;
+    EnumerationOptions opts;
+    opts.atomic_assignments = family != "split";
+    opts.partial_order_reduction = family == "por";
+    const bool barrier = family == "barrier" && row.b != 0;
+    Graph g = family == "barrier"
+                  ? two_component_barrier_program(row.a, barrier)
+                  : families::par_wide(row.a, row.b, 2);
+    auto r = enumerate_executions(g, {family == "barrier" ? "a0" : "w"}, opts);
+    ASSERT_TRUE(r.exhausted) << family << " " << row.a << "x" << row.b;
+    if (barrier) {
+      EXPECT_LE(r.states_explored, row.states) << family << " " << row.a;
+    } else {
+      EXPECT_EQ(r.states_explored, row.states)
+          << family << " " << row.a << "x" << row.b;
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "ir/transform_utils.hpp"
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
+#include "workload/families.hpp"
 
 namespace parcm {
 namespace {
@@ -148,6 +149,46 @@ TEST(Product, ImportanceOfInterference) {
       g, prod, make_upsafety_problem(g, preds, SafetyVariant::kNaive));
   NodeId y = node_of_statement(g, "y := a + b");
   EXPECT_FALSE(up.entry[y.index()].test(ab.index()));
+}
+
+TEST(Product, StatementWithSeveralSuccessorsIsOneNodePerSuccessor) {
+  // The IR lets an assignment branch; its bytecode is the store followed by
+  // a choose, and the product still counts one occurrence per successor.
+  Graph g;
+  VarId x = g.intern_var("x");
+  NodeId a = g.new_assign(g.root_region(), x, Rhs(Operand::constant(1)));
+  NodeId b1 = g.new_node(NodeKind::kSkip, g.root_region());
+  NodeId b2 = g.new_node(NodeKind::kSkip, g.root_region());
+  g.add_edge(g.start(), a);
+  g.add_edge(a, b1);
+  g.add_edge(a, b2);
+  g.add_edge(b1, g.end());
+  g.add_edge(b2, g.end());
+  validate_or_throw(g);
+  ProductProgram p = build_product(g);
+  ASSERT_TRUE(p.exhausted);
+  std::size_t occurrences = 0;
+  for (NodeId q : p.graph.all_nodes()) occurrences += p.origin[q.index()] == a;
+  EXPECT_EQ(occurrences, 2u);
+  EXPECT_EQ(p.graph.num_nodes(), 6u);  // s*, e*, a twice, b1, b2
+  validate_or_throw(p.graph);
+}
+
+// bench_product_blowup's construction family with pinned product sizes:
+// one product node per (executed node, control state reached).
+TEST(Product, NodeCountsOfBenchFamily) {
+  struct Row {
+    std::size_t comps, len, nodes;
+  };
+  const Row rows[] = {{2, 2, 45},  {2, 4, 81},   {2, 8, 201},  {2, 16, 633},
+                      {3, 2, 165}, {3, 4, 561},  {3, 8, 2721}, {4, 2, 789},
+                      {4, 4, 4341}, {5, 3, 12521}};
+  for (const Row& row : rows) {
+    ProductProgram p =
+        build_product(families::par_wide(row.comps, row.len), 4u << 20);
+    ASSERT_TRUE(p.exhausted);
+    EXPECT_EQ(p.num_configs, row.nodes) << row.comps << "x" << row.len;
+  }
 }
 
 }  // namespace

@@ -211,19 +211,33 @@ TEST(Oracle, SampledModeSeesStaleTemporary) {
       v2 := v2 + v1;
     }
   )");
+  auto witness_of = [](const verify::Verdict& v) {
+    std::map<std::string, std::int64_t> witness;
+    for (std::size_t i = 0; i < v.observed.size(); ++i) {
+      witness[v.observed[i]] = (*v.witness)[i];
+    }
+    return witness;
+  };
+  const std::map<std::string, std::int64_t> stale = {
+      {"v0", 9}, {"v1", 0}, {"v2", 18}, {"v3", 0}};
+
   verify::Budget b;
   b.max_exact_nodes = 1;  // force the sampled path
   verify::Verdict v = verify::differential_check(g, t, b);
   EXPECT_FALSE(v.exact);
   ASSERT_EQ(verify::Status::kDiverged, v.status) << v.summary();
   ASSERT_TRUE(v.witness.has_value());
-  std::map<std::string, std::int64_t> witness;
-  for (std::size_t i = 0; i < v.observed.size(); ++i) {
-    witness[v.observed[i]] = (*v.witness)[i];
-  }
-  EXPECT_EQ(witness, (std::map<std::string, std::int64_t>{
-                         {"v0", 9}, {"v1", 0}, {"v2", 18}, {"v3", 0}}))
-      << v.summary();
+  EXPECT_EQ(witness_of(v), stale) << v.summary();
+
+  // The exact oracle under the default budget decides the same pair from
+  // the complete behaviour sets; the counts pin those sets.
+  verify::Verdict exact = verify::differential_check(g, t, verify::Budget{});
+  EXPECT_TRUE(exact.exact);
+  ASSERT_EQ(verify::Status::kDiverged, exact.status) << exact.summary();
+  EXPECT_EQ(exact.original_behaviours, 29u);
+  EXPECT_EQ(exact.transformed_behaviours, 17u);
+  ASSERT_TRUE(exact.witness.has_value());
+  EXPECT_EQ(witness_of(exact), stale) << exact.summary();
 }
 
 TEST(Oracle, CountersMove) {

@@ -7,6 +7,7 @@
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
 #include "lang/unparse.hpp"
+#include "obs/json.hpp"
 #include "verify/fuzz.hpp"
 #include "workload/families.hpp"
 #include "workload/randomprog.hpp"
@@ -143,6 +144,31 @@ TEST(RandomProgramAst, SameSeedIsByteIdenticalAcrossProcesses) {
     ASSERT_FALSE(a.empty()) << args;
     EXPECT_EQ(a, b) << args;
   }
+#endif
+}
+
+// With --json stdout carries the campaign document alone: the human
+// summary, the reproducers of the caught miscompiles and the exit messages
+// go to stderr, so `parcm_fuzz --json > f.json` is parseable.
+TEST(FuzzCli, JsonStdoutIsOneDocument) {
+#ifndef PARCM_FUZZ_BIN
+  GTEST_SKIP() << "parcm_fuzz binary path not configured";
+#else
+  const std::string cmd =
+      std::string(PARCM_FUZZ_BIN) +
+      " --seed 11 --count 20 --pipeline pcm --inject naive --json 2>/dev/null";
+  std::string out;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  char buf[4096];
+  std::size_t n;
+  while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  pclose(pipe);
+  std::optional<obs::JsonValue> doc = obs::json_parse(out);
+  ASSERT_TRUE(doc.has_value()) << out;
+  const obs::JsonValue* divergences = doc->get("divergences");
+  ASSERT_NE(divergences, nullptr);
+  EXPECT_GT(divergences->as_u64(), 0u);  // reproducers were printed too
 #endif
 }
 
