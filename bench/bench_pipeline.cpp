@@ -12,6 +12,7 @@
 
 #include "motion/bcm.hpp"
 #include "motion/pcm.hpp"
+#include "obs/metrics.hpp"
 #include "obs/remarks.hpp"
 #include "workload/families.hpp"
 #include "workload/randomprog.hpp"
@@ -53,6 +54,29 @@ void BM_PcmPipelineRandom(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(g.num_nodes());
 }
 BENCHMARK(BM_PcmPipelineRandom)->DenseRange(1, 4);
+
+// Many anchors per term: two-component par blocks over disjoint variable
+// halves with a six-term pool, so every term has an Earliest candidate in
+// most blocks and anchor sinking does real work. placement_visits counts
+// the node visits of placement (MUSTUSE maintenance and sink descents) for
+// one run; it is deterministic, and check_bench_regression.py gates both
+// its growth and its scaling exponent over the sizes.
+void BM_PcmPipelineManyAnchors(benchmark::State& state) {
+  Graph g = families::par_chain(static_cast<std::size_t>(state.range(0)), 20);
+  std::uint64_t before = obs::registry().counter("motion.placement_visits");
+  benchmark::DoNotOptimize(parallel_code_motion(g).graph.num_nodes());
+  std::uint64_t visits =
+      obs::registry().counter("motion.placement_visits") - before;
+  for (auto _ : state) {
+    MotionResult r = parallel_code_motion(g);
+    benchmark::DoNotOptimize(r.graph.num_nodes());
+  }
+  state.counters["nodes"] = static_cast<double>(g.num_nodes());
+  state.counters["placement_visits"] = static_cast<double>(visits);
+}
+BENCHMARK(BM_PcmPipelineManyAnchors)
+    ->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NaiveVsRefinedAnalysisCost(benchmark::State& state) {
   // The refinements are free: same two passes, only the synchronization

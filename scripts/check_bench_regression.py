@@ -3,7 +3,8 @@
 
 Compares a freshly produced bench run against the committed BENCH_*.json
 baseline(s) and fails when a benchmark got slower than the threshold allows
-or when a deterministic counter (relaxations by default) grew at all.
+or when a deterministic counter (relaxations and placement_visits by
+default) grew at all.
 
 Instead of diffing raw per-size timings — noisy on shared CI runners — the
 gate fits a power-law scaling model t(n) = a * n^b (log-log least squares,
@@ -15,7 +16,9 @@ back to the direct ratio.
 
 Deterministic counters are schedule-independent by construction (the repo's
 determinism suite holds that), so any growth is a real algorithmic
-regression and is always a hard failure, even with --advisory-timing.
+regression and is always a hard failure, even with --advisory-timing. The
+same holds for EXPONENT_CEILINGS: the fresh run's power-law exponent of a
+counter over a family's sizes (placement_visits must stay near-linear).
 
 With --history the gate fits *trends* instead of a single baseline pair:
 scripts/run_bench.sh snapshots every run into bench/history/<utc>-<commit>/
@@ -43,7 +46,7 @@ import sys
 
 # Counters that are deterministic outputs of the algorithms (not timings);
 # growth in any of these is a hard failure.
-DEFAULT_HARD_COUNTERS = ["relaxations"]
+DEFAULT_HARD_COUNTERS = ["relaxations", "placement_visits"]
 
 # Absolute bounds on fresh counters, gated independently of any baseline:
 # the shared analysis cache must actually hit on the pooled bench corpus,
@@ -64,6 +67,17 @@ ABSOLUTE_BOUNDS = [
     ("vm_oracle_speedup", "floor", 5.0),
     ("vm_regressed_paths", "ceiling", 0.0),
     ("vm_cost_mismatches", "ceiling", 0.0),
+]
+
+# Scaling-exponent ceilings on fresh deterministic counters: every family
+# reporting the counter at two or more sizes is fitted with fit_power_law
+# (counter against the family's size axis) and fails hard when the exponent
+# exceeds the ceiling, even with --advisory-timing. PCM placement must stay
+# linear in the program (BM_PcmPipelineManyAnchors/{16..128} blocks): a
+# per-candidate re-solve shows up as an exponent near 2.
+EXPONENT_CEILINGS = [
+    # (counter, max exponent)
+    ("placement_visits", 1.2),
 ]
 
 
@@ -204,6 +218,36 @@ def check_absolute_bounds(fresh_runs, out):
     return violations
 
 
+def check_exponent_ceilings(fresh_runs, out):
+    """Yields (bench, family, counter, exponent, ceiling) for every fresh
+    family whose counter grows faster than its EXPONENT_CEILINGS bound."""
+    violations = []
+    for bench, results in sorted(fresh_runs.items()):
+        series = {}
+        for name, (_, counters) in results.items():
+            family, size = split_family(name)
+            if size is None:
+                continue
+            for counter, _ in EXPONENT_CEILINGS:
+                if counter in counters:
+                    series.setdefault((family, counter), []).append(
+                        (size, float(counters[counter]))
+                    )
+        for (family, counter), points in sorted(series.items()):
+            if len({n for n, _ in points}) < 2:
+                continue
+            ceiling = dict(EXPONENT_CEILINGS)[counter]
+            _, exponent = fit_power_law(points)
+            status = "ok" if exponent <= ceiling else "EXPONENT"
+            out(
+                f"  [{status:9s}] {bench}/{family} {counter}: "
+                f"n^{exponent:.2f} (ceiling n^{ceiling:.2f})"
+            )
+            if exponent > ceiling:
+                violations.append((bench, family, counter, exponent, ceiling))
+    return violations
+
+
 def run_gate(baseline_paths, fresh_paths, threshold, hard_counters,
              advisory_timing, out=print):
     baselines = {}
@@ -231,9 +275,13 @@ def run_gate(baseline_paths, fresh_paths, threshold, hard_counters,
     for bench in sorted(fresh_runs.keys() - baselines.keys()):
         out(f"bench {bench}: no committed baseline, skipping")
     bound_regs = check_absolute_bounds(fresh_runs, out)
+    exponent_regs = check_exponent_ceilings(fresh_runs, out)
 
     if bound_regs:
         out(f"FAIL: {len(bound_regs)} absolute counter bound violation(s)")
+        return 1
+    if exponent_regs:
+        out(f"FAIL: {len(exponent_regs)} scaling exponent violation(s)")
         return 1
     if counter_regs:
         out(f"FAIL: {len(counter_regs)} deterministic counter regression(s)")
@@ -364,9 +412,13 @@ def run_trend(history_dir, fresh_paths, threshold, hard_counters,
                 newest_bench[bench], results, hard_counters, out
             )
     bound_regs = check_absolute_bounds(fresh_runs, out)
+    exponent_regs = check_exponent_ceilings(fresh_runs, out)
 
     if bound_regs:
         out(f"FAIL: {len(bound_regs)} absolute counter bound violation(s)")
+        return 1
+    if exponent_regs:
+        out(f"FAIL: {len(exponent_regs)} scaling exponent violation(s)")
         return 1
     if counter_regs:
         out(f"FAIL: {len(counter_regs)} deterministic counter regression(s)")
@@ -459,6 +511,27 @@ def make_exec_fixture(speedup=12.0, regressed=0.0, mismatches=0.0):
             "results": results}
 
 
+def make_anchor_fixture(exponent, scale_visits=1.0):
+    """A parcm-bench-v1 document with a many-anchor placement family whose
+    placement_visits grow as n^exponent over 16..128 blocks."""
+    results = []
+    for n in (16, 32, 64, 128):
+        results.append(
+            {
+                "name": f"BM_PcmPipelineManyAnchors/{n}",
+                "iterations": 1,
+                "real_ns_per_iter": 1e5 * n,
+                "cpu_ns_per_iter": 1e5 * n,
+                "counters": {
+                    "nodes": 45 * n,
+                    "placement_visits": scale_visits * 140.0 * n**exponent,
+                },
+            }
+        )
+    return {"schema": "parcm-bench-v1", "bench": "anchor_fixture",
+            "results": results}
+
+
 def self_test(threshold):
     """Hermetic check that the gate accepts clean runs and rejects a 2x
     slowdown and a counter growth. Exercised by ctest so the gate itself
@@ -529,6 +602,23 @@ def self_test(threshold):
                 True, quiet) != 1:
         failures.append("vm_cost_mismatches above ceiling accepted")
 
+    # Placement scaling: a linear placement_visits series passes; a
+    # quadratic one fails the exponent ceiling even in advisory timing mode
+    # (and even against a baseline that was already quadratic), and visits
+    # that grew at the same exponent fail as a counter regression.
+    anchor_linear = write(make_anchor_fixture(1.0))
+    anchor_quadratic = write(make_anchor_fixture(2.0))
+    anchor_more = write(make_anchor_fixture(1.0, scale_visits=1.1))
+    if run_gate([anchor_linear], [anchor_linear], threshold,
+                DEFAULT_HARD_COUNTERS, False, quiet) != 0:
+        failures.append("linear placement_visits rejected")
+    if run_gate([anchor_quadratic], [anchor_quadratic], threshold,
+                DEFAULT_HARD_COUNTERS, True, quiet) != 1:
+        failures.append("quadratic placement_visits accepted")
+    if run_gate([anchor_linear], [anchor_more], threshold,
+                DEFAULT_HARD_COUNTERS, True, quiet) != 1:
+        failures.append("placement_visits growth accepted")
+
     # A baseline missing from the tree (an artifact never committed) is a
     # usage error, exit 2, not a silent pass.
     absent = os.path.join(tempfile.mkdtemp(), "BENCH_absent.json")
@@ -566,7 +656,8 @@ def self_test(threshold):
     os.rmdir(empty)
 
     for path in (base, same, slow, more, batch_ok, batch_cold, batch_fat,
-                 exec_ok, exec_slow, exec_regressed, exec_drift):
+                 exec_ok, exec_slow, exec_regressed, exec_drift,
+                 anchor_linear, anchor_quadratic, anchor_more):
         os.unlink(path)
     if failures:
         print("self-test FAILED:", "; ".join(failures))
@@ -587,7 +678,7 @@ def main(argv):
     p.add_argument("--counter", action="append", default=[],
                    dest="counters",
                    help="deterministic counter treated as a hard gate "
-                        "(default: relaxations)")
+                        "(default: relaxations, placement_visits)")
     p.add_argument("--advisory-timing", action="store_true",
                    help="report timing regressions without failing; "
                         "deterministic counters still fail hard")

@@ -252,8 +252,9 @@ std::string FuzzOutcome::summary() const {
   }
   for (const FuzzFailure& f : failures) {
     os << "\n  #" << f.index << " seed 0x" << std::hex << f.program_seed
-       << std::dec << ": " << f.verdict.summary() << "\n    reduced to "
-       << f.reduced_stmts << " statements / " << f.reduced_nodes << " nodes";
+       << std::dec << ": " << f.verdict.summary() << "\n    "
+       << (f.reduced ? "reduced to " : "not reduced: ") << f.reduced_stmts
+       << " statements / " << f.reduced_nodes << " nodes";
     if (!f.repro_path.empty()) os << " -> " << f.repro_path;
   }
   return os.str();
@@ -283,6 +284,7 @@ std::string FuzzOutcome::to_json(bool pretty) const {
     w.key("pitfalls").begin_array();
     for (const std::string& p : f.verdict.pitfalls) w.value(p);
     w.end_array();
+    w.key("reduced").value(f.reduced);
     w.key("reduced_stmts").value(f.reduced_stmts);
     w.key("reduced_nodes").value(f.reduced_nodes);
     w.key("reduced_source").value(f.reduced_source);
@@ -296,7 +298,10 @@ std::string FuzzOutcome::to_json(bool pretty) const {
 
 std::string render_repro_source(const FuzzFailure& f, const FuzzOptions& o) {
   std::ostringstream os;
-  os << "// parcm_fuzz reproducer (minimized by verify::reduce_program)\n"
+  os << "// parcm_fuzz reproducer ("
+     << (f.reduced ? "minimized by verify::reduce_program"
+                   : "not reduced: the generated program")
+     << ")\n"
      << "// pipeline: " << o.pipeline;
   if (o.inject.enabled) os << "  inject: " << o.inject.mode;
   os << "\n// campaign seed: " << o.seed << "  program index: " << f.index
@@ -461,6 +466,7 @@ FuzzOutcome run_fuzz(const FuzzOptions& options) {
         }
       };
       ReduceResult reduced = reduce_program(ast, still_fails);
+      failure.reduced = true;
       failure.reduced_source = lang::to_source(reduced.program);
       failure.reduced_stmts = reduced.stmts_after;
       failure.reduced_nodes = lang::lower(reduced.program).num_nodes();

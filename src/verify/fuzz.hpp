@@ -81,7 +81,10 @@ struct FuzzFailure {
   std::uint64_t program_seed = 0;
   Verdict verdict;
   std::string source;          // the generated program
-  std::string reduced_source;  // after delta debugging
+  // The reproducer: the delta-debugged program when `reduced`, else the
+  // generated one (--no-reduce, or a sampled-only divergence).
+  bool reduced = false;
+  std::string reduced_source;
   std::size_t reduced_stmts = 0;
   std::size_t reduced_nodes = 0;  // node count of the lowered reproducer
   std::string repro_path;         // written file, when out_dir was set

@@ -2,8 +2,10 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "ir/builder.hpp"
+#include "support/rng.hpp"
 
 namespace parcm::families {
 
@@ -99,6 +101,65 @@ Graph par_nested(std::size_t depth, std::size_t len) {
            [&, d] { emit_chain(b, len, 1, "s" + std::to_string(d) + "_"); }});
   };
   nest(depth);
+  return b.finish();
+}
+
+Graph par_chain(std::size_t blocks, std::size_t stmts_per_component) {
+  constexpr std::size_t kHalf = 4;
+  const BinOp kOps[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul};
+  Rng rng(0x5eed);
+  GraphBuilder b;
+  auto var = [](std::size_t i) { return "v" + std::to_string(i); };
+  auto half_var = [&](std::size_t half) {
+    return var(half * kHalf + rng.below(kHalf));
+  };
+  struct PoolTerm {
+    std::string lhs, rhs;
+    BinOp op;
+  };
+  std::vector<PoolTerm> pool[2];
+  for (std::size_t half = 0; half < 2; ++half) {
+    while (pool[half].size() < 3) {
+      std::size_t x = rng.below(kHalf), y = rng.below(kHalf);
+      if (x == y) continue;
+      pool[half].push_back(
+          {var(half * kHalf + x), var(half * kHalf + y), kOps[rng.below(3)]});
+    }
+  }
+  auto assign_term = [&](const std::string& lhs, const PoolTerm& t) {
+    b.assign(lhs, b.v(t.lhs), t.op, b.v(t.rhs));
+  };
+  for (std::size_t i = 0; i < 2 * kHalf; ++i) {
+    b.assign(var(i), GraphBuilder::c(rng.range(1, 9)));
+  }
+  // 65% pool terms, 20% constants (kills), 15% recursive increments.
+  auto stmt = [&](std::size_t half) {
+    std::string lhs = half_var(half);
+    std::uint64_t roll = rng.below(100);
+    if (roll < 65) {
+      assign_term(lhs, pool[half][rng.below(pool[half].size())]);
+    } else if (roll < 85) {
+      b.assign(lhs, GraphBuilder::c(rng.range(0, 9)));
+    } else {
+      std::string operand = half_var(half);
+      b.assign(lhs, b.v(operand), BinOp::kAdd,
+               GraphBuilder::c(rng.range(1, 9)));
+    }
+  };
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    b.par({[&] {
+             for (std::size_t i = 0; i < stmts_per_component; ++i) stmt(0);
+           },
+           [&] {
+             for (std::size_t i = 0; i < stmts_per_component; ++i) stmt(1);
+           }});
+    const std::vector<PoolTerm>& p = pool[rng.below(2)];
+    std::string lhs = var(rng.below(2 * kHalf));
+    assign_term(lhs, p[rng.below(p.size())]);
+  }
+  for (const std::vector<PoolTerm>& p : pool) {
+    for (const PoolTerm& t : p) assign_term(var(rng.below(2 * kHalf)), t);
+  }
   return b.finish();
 }
 

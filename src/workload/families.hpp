@@ -30,4 +30,12 @@ Graph par_wide(std::size_t components, std::size_t len,
 // per component (C1 scaling on nesting).
 Graph par_nested(std::size_t depth, std::size_t len);
 
+// `blocks` two-component parallel statements in sequence, each component
+// running `stmts_per_component` assignments over its own half of v0..v7,
+// with one sequential statement reading both halves behind every join. A
+// small term pool (three terms per half) recurs across all blocks, so each
+// term has an Earliest anchor per block: the many-anchor placement sweep.
+// Deterministic: the statement mix comes from a fixed-seed Rng.
+Graph par_chain(std::size_t blocks, std::size_t stmts_per_component);
+
 }  // namespace parcm::families

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 
+#include "ir/printer.hpp"
 #include "ir/terms.hpp"
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
@@ -118,6 +119,20 @@ TEST(RandomProgramAst, PitfallShapesAppearWhenEnabled) {
   EXPECT_GT(with_par, 20u);
 }
 
+#ifdef PARCM_FUZZ_BIN
+// Stdout of a shell command ("" if it cannot be started).
+std::string run_command(const std::string& cmd) {
+  std::string out;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  pclose(pipe);
+  return out;
+}
+#endif
+
 // Cross-process byte-identity: run the built parcm_fuzz binary twice with
 // the same seed and compare the dumped program bytes. This is the strong
 // form of the determinism contract — no shared in-process state can help.
@@ -125,22 +140,12 @@ TEST(RandomProgramAst, SameSeedIsByteIdenticalAcrossProcesses) {
 #ifndef PARCM_FUZZ_BIN
   GTEST_SKIP() << "parcm_fuzz binary path not configured";
 #else
-  auto run = [](const std::string& cmd) {
-    std::string out;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) return out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-    pclose(pipe);
-    return out;
-  };
   const std::string base = std::string(PARCM_FUZZ_BIN);
   for (const char* args : {" --seed 42 --dump-program --index 0",
                            " --seed 42 --dump-program --index 9",
                            " --seed 1234 --dump-program --index 3"}) {
-    std::string a = run(base + args);
-    std::string b = run(base + args);
+    std::string a = run_command(base + args);
+    std::string b = run_command(base + args);
     ASSERT_FALSE(a.empty()) << args;
     EXPECT_EQ(a, b) << args;
   }
@@ -157,18 +162,40 @@ TEST(FuzzCli, JsonStdoutIsOneDocument) {
   const std::string cmd =
       std::string(PARCM_FUZZ_BIN) +
       " --seed 11 --count 20 --pipeline pcm --inject naive --json 2>/dev/null";
-  std::string out;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  char buf[4096];
-  std::size_t n;
-  while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-  pclose(pipe);
+  std::string out = run_command(cmd);
   std::optional<obs::JsonValue> doc = obs::json_parse(out);
   ASSERT_TRUE(doc.has_value()) << out;
   const obs::JsonValue* divergences = doc->get("divergences");
   ASSERT_NE(divergences, nullptr);
   EXPECT_GT(divergences->as_u64(), 0u);  // reproducers were printed too
+#endif
+}
+
+// With --no-reduce a caught failure keeps its generated program, and the
+// summary must say so instead of claiming a reduction.
+TEST(FuzzCli, NoReduceSummarySaysNotReduced) {
+#ifndef PARCM_FUZZ_BIN
+  GTEST_SKIP() << "parcm_fuzz binary path not configured";
+#else
+  const std::string base = std::string(PARCM_FUZZ_BIN) +
+                           " --seed 7 --count 40 --pipeline naive "
+                           "--expect-catch --no-reduce";
+  std::string out = run_command(base + " 2>&1");
+  EXPECT_NE(out.find("not reduced: "), std::string::npos) << out;
+  EXPECT_EQ(out.find("reduced to"), std::string::npos) << out;
+
+  std::optional<obs::JsonValue> doc =
+      obs::json_parse(run_command(base + " --json 2>/dev/null"));
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* failures = doc->get("failures");
+  ASSERT_NE(failures, nullptr);
+  ASSERT_FALSE(failures->array().empty());
+  for (const obs::JsonValue& f : failures->array()) {
+    const obs::JsonValue* reduced = f.get("reduced");
+    ASSERT_NE(reduced, nullptr);
+    ASSERT_TRUE(reduced->is_bool());
+    EXPECT_FALSE(reduced->as_bool());
+  }
 #endif
 }
 
@@ -195,6 +222,19 @@ TEST(Families, ParWideComponents) {
   Graph g = families::par_wide(4, 5);
   validate_or_throw(g);
   EXPECT_EQ(g.par_stmt(ParStmtId(0)).components.size(), 4u);
+}
+
+TEST(Families, ParChainShape) {
+  Graph g = families::par_chain(8, 5);
+  validate_or_throw(g);
+  EXPECT_EQ(g.num_par_stmts(), 8u);
+  for (std::size_t s = 0; s < g.num_par_stmts(); ++s) {
+    EXPECT_EQ(g.par_stmt(ParStmtId(static_cast<ParStmtId::underlying>(s)))
+                  .components.size(),
+              2u);
+  }
+  // Deterministic: the same shape builds the same graph.
+  EXPECT_EQ(to_text(families::par_chain(8, 5)), to_text(g));
 }
 
 TEST(Families, ParNestedDepth) {
